@@ -191,12 +191,7 @@ def euler_constant_C(prime_bound: int) -> float:
     """
     if prime_bound < 2:
         raise ValueError("prime_bound must be at least 2")
-    is_p = np.ones(prime_bound + 1, dtype=bool)
-    is_p[:2] = False
-    for i in range(2, math.isqrt(prime_bound) + 1):
-        if is_p[i]:
-            is_p[i * i :: i] = False
-    p = np.nonzero(is_p)[0].astype(np.float64)
+    p = build_factor_sieve(prime_bound).primes.astype(np.float64)
     logs = np.log1p(-1.0 / ((p - 1.0) ** 2 * (p + 1.0)))
     return math.exp(math.fsum(logs))
 

@@ -36,6 +36,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _emit(text: str, path) -> None:
+    """Write text to path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_IO)
+
+
+def _emit_json(payload: dict, path) -> None:
+    # allow_nan=False: a NaN or infinity is an error, never invalid JSON
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", path)
+
+
 def _load_context(args, required_bound: int) -> TraceContext:
     if getattr(args, "cache", None):
         try:
@@ -135,12 +153,7 @@ def cmd_murmur(args) -> int:
             "hi": float(series.cumulative[-1]) if series.n.size else 0.0,
         },
     }
-    text = json.dumps(summary, indent=2)
-    if args.summary:
-        with open(args.summary, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    _emit_json(summary, args.summary)
     return EXIT_OK
 
 
@@ -156,10 +169,9 @@ def cmd_nu(args) -> int:
                 continue
             part = nu_rational(Interval(Fraction(0), float(t)), args.qmax, sieve, weight=args.weight)
             rows.append((t, part.value, ""))
-        with open(args.out, "w") as f:
-            f.write("t,nu_cumulative_rational,nu_cumulative_fourier_if_available\n")
-            for t, v, other in rows:
-                f.write(f"{_fmt(t)},{_fmt(v)},{other}\n")
+        lines = ["t,nu_cumulative_rational,nu_cumulative_fourier_if_available"]
+        lines += [f"{_fmt(t)},{_fmt(v)},{other}" for t, v, other in rows]
+        _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
     interval = Interval.parse(args.E)
     ev = evaluate_nu(interval, args.qmax, args.tmax, sieve, weight=args.weight)
@@ -179,12 +191,13 @@ def cmd_nu(args) -> int:
             {"a": a, "q": q, "side": side} for a, q, side in ev.endpoint_terms
         ],
     }
-    text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    for kind in ("rational", "fourier"):
+        # an infinite bound (t_max = 0, E up to inf) is written as null plus a flag
+        unbounded = report[f"{kind}_tail_bound"] == math.inf
+        report[f"{kind}_tail_unbounded"] = unbounded
+        if unbounded:
+            report[f"{kind}_tail_bound"] = None
+    _emit_json(report, args.out)
     return EXIT_OK
 
 
@@ -243,12 +256,7 @@ def cmd_compare(args) -> int:
         "deviation_at_2": t2,
         "pearson_correlation": corr,
     }
-    text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    _emit_json(report, args.out)
     return EXIT_OK
 
 
@@ -265,13 +273,9 @@ def cmd_propcircle(args) -> int:
         "lhs": chk.lhs,
         "main_term": chk.main_term,
         "residual": chk.residual,
+        "hat_error": chk.hat_error,
     }
-    text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    _emit_json(report, args.out)
     return EXIT_OK
 
 
@@ -291,6 +295,12 @@ def cmd_window_selftest(args) -> int:
     lhs = cosine_progression_sum(w, 38, 12.0, 0.31)
     rhs = poisson_weight_sum(w, 38, 12.0, 0.31)
     checks.append(("Poisson identity", abs(lhs - rhs) < 1e-7))
+    for x in (1.5, 250.0):
+        # the FFT grid the circle check uses, against the panel quadrature
+        t = np.linspace(0, int(120 * x), 2001).astype(np.int64)
+        grid = w.hat_grid(x, int(t[-1]))[t]
+        gap = float(np.max(np.abs(grid - w.hat_many(t / x))))
+        checks.append((f"FFT grid = quadrature at x = {x:g}", gap < 1e-13))
     ok = True
     for name, passed in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}")

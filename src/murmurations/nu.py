@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import sici
 
-from .arith import FactorSieve, default_euler_constant
+from .arith import FactorSieve, build_factor_sieve, default_euler_constant
 from .window import WindowFunction, make_window
 
 __all__ = [
@@ -117,51 +117,81 @@ class NuEvaluation:
 
 
 _TAIL_CUT = 4096
+# a-bounds are clipped here to stay in int64 arithmetic; the atoms past the
+# clip weigh under 2^-124 per q, far below any tail bound
+_A_CAP = 2**62
 
 
-@lru_cache(maxsize=8)
-def _tail_table(w: int):
-    b = np.arange(1, _TAIL_CUT + 1, dtype=np.float64)
-    vals = b ** (-float(w))
-    return np.cumsum(vals[::-1])[::-1]
-
-
-def _em_tail(w: int, B: int) -> float:
-    # Euler-Maclaurin for sum_{b >= B} b^-w; next omitted term is O(B^-w-3)
-    x = float(B)
+def _em_tail(w: int, x):
+    # Euler-Maclaurin for sum_{b >= x} b^-w; next omitted term is O(x^-w-3)
     return x ** (1 - w) / (w - 1) + 0.5 * x ** (-w) + w / 12.0 * x ** (-w - 1)
 
 
-def _zeta_tail(w: int, B: int) -> float:
-    """sum_{b >= B} b^-w for w in {3, 4}."""
-    if B < 1:
-        B = 1
-    if B <= _TAIL_CUT:
-        return float(_tail_table(w)[B - 1]) + _em_tail(w, _TAIL_CUT + 1)
-    return _em_tail(w, B)
+@lru_cache(maxsize=8)
+def _tail_table(w: int) -> np.ndarray:
+    """sum_{b >= B} b^-w for B = 1.._TAIL_CUT."""
+    b = np.arange(1, _TAIL_CUT + 1, dtype=np.float64)
+    vals = b ** (-float(w))
+    return np.cumsum(vals[::-1])[::-1] + _em_tail(w, float(_TAIL_CUT + 1))
 
 
-def _coprime_tail(
-    q: int, divisors_mu: list[tuple[int, int]], w: int, a_min: int, a_max: int | None = None
-) -> float:
-    """sum over a in [a_min, a_max] (a_max None: unbounded) with gcd(a, q) = 1
-    of a^-w, via Moebius over d | q and zeta tails."""
-    total = 0.0
-    for d, mu in divisors_mu:
-        if mu == 0:
-            continue
-        part = _zeta_tail(w, -(-a_min // d))
-        if a_max is not None:
-            part -= _zeta_tail(w, a_max // d + 1)
-        total += mu * d ** (-float(w)) * part
-    return total
-
-
-def _mu_divisors(sieve: FactorSieve, q: int) -> list[tuple[int, int]]:
-    out = [(1, 1)]
-    for p, _ in sieve.factorize(q):
-        out += [(d * p, -mu) for d, mu in out]
+def _zeta_tails(w: int, B: np.ndarray) -> np.ndarray:
+    """sum_{b >= B} b^-w for w in {3, 4}, elementwise over integers B >= 1."""
+    out = np.empty(B.shape)
+    small = B <= _TAIL_CUT
+    out[small] = _tail_table(w)[B[small] - 1]
+    out[~small] = _em_tail(w, B[~small].astype(np.float64))
     return out
+
+
+@lru_cache(maxsize=8)
+def _squarefree_sieve(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """mu(q) and the atom coefficient mu(q)^2/(phi(q)^2 sigma(q)) for
+    q = 0..n (both 0 at q = 0), by one pass over the primes p <= n: a
+    squarefree q collects the factor (p-1)^2 (p+1) of each p | q."""
+    mu = np.ones(n + 1, dtype=np.int8)
+    den = np.ones(n + 1)
+    for p in build_factor_sieve(max(n, 2)).primes:
+        p = int(p)
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        den[p::p] *= float(p - 1) ** 2 * (p + 1)
+    mu[0] = 0
+    coeff = np.where(mu != 0, 1.0 / den, 0.0)
+    # cached and shared between callers
+    mu.flags.writeable = coeff.flags.writeable = False
+    return mu, coeff
+
+
+@dataclass(frozen=True)
+class _SquarefreeTable:
+    """The squarefree q <= q_max, their atom coefficients, and every pair
+    (q, d) with d | q, flattened, for the Moebius sums over divisors."""
+
+    coeff: np.ndarray  # mu(q)^2/(phi(q)^2 sigma(q)) for q = 0..q_max
+    q: np.ndarray  # the squarefree q, ascending
+    owner: np.ndarray  # per pair: index of its q in ``q``
+    d: np.ndarray  # per pair: the divisor d
+    mu_d: np.ndarray  # per pair: mu(d)
+
+
+@lru_cache(maxsize=8)
+def _squarefree_table(q_max: int) -> _SquarefreeTable:
+    mu, coeff = _squarefree_sieve(q_max)
+    q = np.flatnonzero(mu)
+    # each squarefree d against its multiples k d <= q_max; a squarefree
+    # multiple has squarefree divisors only, so this lists every pair once
+    reps = q_max // q
+    d = np.repeat(q, reps)
+    multiple = d * (np.arange(d.size) - np.repeat(np.cumsum(reps) - reps, reps) + 1)
+    keep = mu[multiple] != 0
+    d = d[keep]
+    index = np.zeros(q_max + 1, dtype=np.int64)
+    index[q] = np.arange(q.size)
+    table = _SquarefreeTable(coeff=coeff, q=q, owner=index[multiple[keep]], d=d, mu_d=mu[d])
+    for arr in (table.q, table.owner, table.d, table.mu_d):
+        arr.flags.writeable = False
+    return table
 
 
 def _rational_tail_bound(E: Interval, w: int, q_max: int) -> float:
@@ -184,39 +214,26 @@ def _rational_tail_bound(E: Interval, w: int, q_max: int) -> float:
     return v ** (w / 2.0) * G * (L + 1.0 / Q) / Q
 
 
-def _atom_range(q: int, E: Interval) -> tuple[int, int | None, int | None, int | None]:
-    """a-range with (q/a)^2 in E, plus the a values sitting exactly on the
-    endpoints (None when absent).  Exact endpoints use integer predicates."""
-    # lower a bound from the upper interval endpoint: a^2 >= q^2 / v
-    if E.hi_exact:
-        vn, vd = E.hi.numerator, E.hi.denominator
-        target = q * q * vd
-        a_lo = math.isqrt(target // vn) if vn else 1
-        while a_lo >= 1 and (a_lo - 1) * (a_lo - 1) * vn >= target:
-            a_lo -= 1
-        while a_lo * a_lo * vn < target:
-            a_lo += 1
-        hi_atom = a_lo if a_lo * a_lo * vn == target else None
+_ISQRT = np.frompyfunc(math.isqrt, 1, 1)
+
+
+def _a_bound(q: np.ndarray, y: Fraction | float, upper: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per q, the a-bound set by the endpoint y: the greatest a with
+    (q/a)^2 >= y > 0 if ``upper``, else the least a >= 1 with (q/a)^2 <= y;
+    and whether (q/a)^2 = y there.  An exact y is handled in integers, by
+    comparing a^2 y_num with q^2 y_den."""
+    if isinstance(y, Fraction):
+        target = q.astype(object) ** 2 * y.denominator
+        if upper:
+            a = _ISQRT(target // y.numerator)
+        else:
+            a = _ISQRT(-(-target // y.numerator) - 1) + 1
+        on = (a * a * y.numerator == target).astype(bool)
     else:
-        a_lo = max(1, math.ceil(q / math.sqrt(float(E.hi))))
-        hi_atom = None
-    a_lo = max(a_lo, 1)
-    # upper a bound from the lower endpoint: a^2 <= q^2 / u (u = 0: unbounded)
-    if float(E.lo) == 0:
-        return a_lo, None, None, hi_atom
-    if E.lo_exact:
-        un, ud = E.lo.numerator, E.lo.denominator
-        target = q * q * ud
-        a_hi = math.isqrt(target // un)
-        while (a_hi + 1) * (a_hi + 1) * un <= target:
-            a_hi += 1
-        while a_hi >= 1 and a_hi * a_hi * un > target:
-            a_hi -= 1
-        lo_atom = a_hi if a_hi * a_hi * un == target else None
-    else:
-        a_hi = math.floor(q / math.sqrt(float(E.lo)))
-        lo_atom = None
-    return a_lo, a_hi, lo_atom, hi_atom
+        a = q / math.sqrt(y)
+        a = np.floor(a) if upper else np.maximum(np.ceil(a), 1.0)
+        on = np.zeros(q.size, dtype=bool)
+    return np.minimum(a, _A_CAP).astype(np.int64), on
 
 
 def nu_rational(
@@ -224,29 +241,41 @@ def nu_rational(
 ) -> NuPart:
     """Atom-sum form: (1/zeta(2)) sum over coprime a, q with (a/q)^-2 in E of
     mu(q)^2/(phi(q)^2 sigma(q)) (q/a)^w, w = 3 (or 4 for the sqrt-weighted
-    variant); atoms exactly on an exact endpoint count half."""
+    variant); atoms exactly on an exact endpoint count half.
+
+    For each squarefree q the a-range [a_lo, a_hi] is summed over a coprime
+    to q as sum over d | q of mu(d) d^-w times two zeta tails, all q and d
+    at once from the flattened divisor pairs.
+    """
     if q_max < 1:
         raise ValueError("q_max must be positive")
     if q_max > sieve.bound:
         raise ValueError("q_max exceeds sieve bound")
     w = {"cubic": 3, "quartic": 4}[weight]
-    total = 0.0
+    table = _squarefree_table(q_max)
+    q, d, owner = table.q, table.d, table.owner
+    a_lo, on_hi = _a_bound(q, E.hi, upper=False)
+    tails = _zeta_tails(w, -(-a_lo[owner] // d))
+    if float(E.lo) == 0:
+        # a unbounded above
+        a_hi, on_lo = None, np.zeros(q.size, dtype=bool)
+        nonempty = np.ones(q.size, dtype=bool)
+    else:
+        a_hi, on_lo = _a_bound(q, E.lo, upper=True)
+        tails -= _zeta_tails(w, a_hi[owner] // d + 1)
+        nonempty = a_hi >= a_lo
+    per_q = np.bincount(owner, weights=table.mu_d * d ** (-float(w)) * tails, minlength=q.size)
+    inner = np.where(nonempty, q.astype(np.float64) ** w * per_q, 0.0)
     atoms = []
-    for q in range(1, q_max + 1):
-        if q > 1 and sieve.mobius(q) == 0:
-            continue
-        coeff = 1.0 / (sieve.euler_phi(q) ** 2 * sieve.sigma(q))
-        a_lo, a_hi, lo_atom, hi_atom = _atom_range(q, E)
-        if a_hi is not None and a_hi < a_lo:
-            continue
-        inner = float(q) ** w * _coprime_tail(q, _mu_divisors(sieve, q), w, a_lo, a_hi)
-        for a_edge, side in ((lo_atom, "lo"), (hi_atom, "hi")):
-            if a_edge is not None and math.gcd(a_edge, q) == 1:
-                inner -= 0.5 * (q / a_edge) ** w
-                atoms.append((a_edge, q, side))
-        total += coeff * inner
+    for side, a_edge, on in (("lo", a_hi, on_lo), ("hi", a_lo, on_hi)):
+        for i in np.flatnonzero(on & nonempty):
+            a, qi = int(a_edge[i]), int(q[i])
+            if math.gcd(a, qi) == 1:
+                inner[i] -= 0.5 * (qi / a) ** w
+                atoms.append((a, qi, side))
+    atoms.sort(key=lambda atom: (atom[1], atom[2] == "hi"))
     return NuPart(
-        value=total / ZETA2,
+        value=float(np.dot(table.coeff[q], inner)) / ZETA2,
         tail_bound=_rational_tail_bound(E, w, q_max),
         endpoint_atoms=atoms,
     )
@@ -410,10 +439,6 @@ def evaluate_nu(
     )
 
 
-def _jump_coefficient(sieve: FactorSieve, q: int) -> float:
-    return 1.0 / (sieve.euler_phi(q) ** 2 * sieve.sigma(q))
-
-
 def s_alpha_jump(
     alpha: Fraction | float,
     q_max: int,
@@ -423,30 +448,31 @@ def s_alpha_jump(
     """Jump function 1/2 - zeta(2) alpha + sum over fractions a/q <= alpha of
     mu(q)^2/(phi(q)^2 sigma(q)), truncated at q_max.
 
-    ``star`` switches to the symmetrized variant that halves the atom at a
-    rational alpha (the one the Fourier series converges to).
+    The a/q <= alpha in lowest terms number sum over d | q of
+    mu(d) floor(alpha q/d); floor(alpha e) is taken once per e = q/d, in
+    exact integers for a ``Fraction`` alpha.  ``star`` switches to the
+    symmetrized variant that halves the atom at a rational alpha (the one
+    the Fourier series converges to).
     """
     if float(alpha) <= 0:
         raise ValueError("alpha must be positive")
-    value = 0.5 - ZETA2 * float(alpha)
+    if q_max > sieve.bound:
+        raise ValueError("q_max exceeds sieve bound")
     exact = isinstance(alpha, Fraction)
-    for q in range(1, q_max + 1):
-        if q > 1 and sieve.mobius(q) == 0:
-            continue
-        count = 0
-        for d, mu in _mu_divisors(sieve, q):
-            if mu == 0:
-                continue
-            if exact:
-                count += mu * ((alpha.numerator * q) // (alpha.denominator * d))
-            else:
-                count += mu * math.floor(float(alpha) * q / d)
-        if count:
-            value += _jump_coefficient(sieve, q) * count
-    if star and exact:
-        q0 = alpha.denominator
-        if q0 <= q_max and (q0 == 1 or sieve.mobius(q0) != 0):
-            value -= 0.5 * _jump_coefficient(sieve, q0)
+    table = _squarefree_table(q_max)
+    e = np.arange(q_max + 1)
+    if exact:
+        floors = (e.astype(object) * alpha.numerator // alpha.denominator).astype(np.float64)
+    else:
+        floors = np.floor(float(alpha) * e)
+    counts = np.bincount(
+        table.owner,
+        weights=table.mu_d * floors[table.q[table.owner] // table.d],
+        minlength=table.q.size,
+    )
+    value = 0.5 - ZETA2 * float(alpha) + float(np.dot(table.coeff[table.q], counts))
+    if star and exact and alpha.denominator <= q_max:
+        value -= 0.5 * table.coeff[alpha.denominator]
     return value
 
 
@@ -466,6 +492,10 @@ def s_alpha_fourier(alpha: Fraction | float, t_max: int, sieve: FactorSieve) -> 
     return float(np.dot(c * f / (math.pi * t), np.sin(phase)))
 
 
+# grid points at which the circle check probes its W-hat against hat_many
+_HAT_PROBES = 33
+
+
 @dataclass
 class CircleCheck:
     """Exponential-sum main-term comparison at alpha = a/q + theta."""
@@ -477,6 +507,8 @@ class CircleCheck:
     t_max: int
     lhs: float
     main_term: float
+    # largest |FFT grid - panel quadrature| of W-hat over the probed t/x
+    hat_error: float
 
     @property
     def residual(self) -> float:
@@ -495,12 +527,15 @@ def prop_circle_check(
     """Compare sum_t L(1, psi_bar_t) cos(2 pi alpha t) W-hat(t/x) against the
     main term mu(q)^2/(phi(q)^2 sigma(q)) x W(x theta).
 
-    The t-sum runs to t_mult * x; past |xi| = 120 the window transform sits
-    at the 1e-12 quadrature floor, so the omitted tail is far below the
-    residuals being measured.
+    The t-sum runs to t_mult * x; past |xi| = 120 the window transform is
+    below 1e-12, so the omitted tail is far below the residuals being
+    measured.  W-hat(t/x) comes from the window's FFT grid; ``hat_error``
+    reports its deviation from the panel quadrature at a few probed t.
     """
     if q < 1 or math.gcd(a, q) != 1:
         raise ValueError("need q >= 1 and gcd(a, q) = 1")
+    if q > sieve.bound:
+        raise ValueError("q exceeds sieve bound")
     if x < 1:
         raise ValueError("x must be at least 1")
     t_max = int(t_mult * x)
@@ -509,14 +544,13 @@ def prop_circle_check(
     t = np.arange(1, t_max + 1, dtype=np.int64)
     # reduce the rational part of alpha exactly; only theta t needs floats
     phase = 2.0 * math.pi * (((a * t) % q) / float(q) + theta * t)
-    what = window.hat_many(t / float(x))
+    what = window.hat_grid(x, t_max)
     lhs = c * (
-        sieve.f_multiplicative(0) + 2.0 * float(np.dot(f[1:] * np.cos(phase), what))
+        sieve.f_multiplicative(0) + 2.0 * float(np.dot(f[1:] * np.cos(phase), what[1:]))
     )
-    if q == 1 or sieve.mobius(q) != 0:
-        main = x * window.value(x * theta) / (
-            sieve.euler_phi(q) ** 2 * sieve.sigma(q)
-        )
-    else:
-        main = 0.0
-    return CircleCheck(a=a, q=q, theta=theta, x=x, t_max=t_max, lhs=lhs, main_term=main)
+    main = x * window.value(x * theta) * _squarefree_sieve(q)[1][q]
+    probe = np.linspace(0, t_max, _HAT_PROBES).astype(np.int64)
+    hat_error = float(np.max(np.abs(what[probe] - window.hat_many(probe / float(x)))))
+    return CircleCheck(
+        a=a, q=q, theta=theta, x=x, t_max=t_max, lhs=lhs, main_term=main, hat_error=hat_error
+    )

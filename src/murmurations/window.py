@@ -1,6 +1,7 @@
-"""Smooth partition-of-unity window on [-1, 1], its Fourier transform, and
-the Poisson-summation identity for cosine sums over weights in a fixed
-residue class mod 4."""
+"""Smooth partition-of-unity window on [-1, 1], its Fourier transform (by
+panel quadrature at any frequencies, by one real FFT on a grid t/x), and the
+Poisson-summation identity for cosine sums over weights in a fixed residue
+class mod 4."""
 
 from __future__ import annotations
 
@@ -11,8 +12,6 @@ import numpy as np
 __all__ = [
     "WindowFunction",
     "make_window",
-    "eval_W",
-    "eval_W_hat",
     "cosine_progression_sum",
     "poisson_weight_sum",
 ]
@@ -24,6 +23,11 @@ _SUB = (3.0 * _NODES64 - _NODES64**3) / 2.0
 _SUB_W = _WEIGHTS64 * 1.5 * (1.0 - _NODES64**2)
 
 _NODES16, _WEIGHTS16 = np.polynomial.legendre.leggauss(16)
+
+# |W-hat(xi)| < 3e-17 for xi >= 250.  W-hat(xi) = c sin(pi xi)/(pi xi) *
+# integral of exp(-1/(1-t^2)) cos(pi xi t) over [-1, 1]; that envelope,
+# evaluated to 40 digits, is 2.0e-16 at xi = 220 and 3.0e-17 at xi = 250.
+_HAT_NEGLIGIBLE_FREQ = 250.0
 
 
 def _bump_integral(b):
@@ -66,7 +70,8 @@ class WindowFunction:
         """W-hat on an array of frequencies by composite panel quadrature.
 
         Panels are sized for the largest |xi| so one node grid (and one set
-        of window values) is shared across the whole batch.
+        of window values) is shared across the whole batch.  This is the
+        reference evaluation; whole t/x grids come from ``hat_grid``.
         """
         xi = np.asarray(xi, dtype=np.float64)
         if xi.size == 0:
@@ -88,18 +93,38 @@ class WindowFunction:
     def hat(self, xi: float) -> float:
         return float(self.hat_many(np.asarray([xi]))[0])
 
+    def hat_grid(self, x: float, t_max: int) -> np.ndarray:
+        """W-hat(t/x) for t = 0..t_max from one real FFT.
+
+        W is sampled at spacing 1/M over a period P = r x, L = M P samples.
+        By Poisson summation bin r t of the scaled DFT is the sum over m of
+        W-hat(t/x + m M), so the trapezoid rule is exact up to the aliases
+        m != 0.  M >= t_max/x + 250 puts every alias past the frequency where
+        W-hat drops below 1e-16, and M >= 2 t_max/x keeps bin r t_max in the
+        half spectrum rfft returns.  The padding factor r makes P >= 2 + 1/M,
+        so the samples of the support [-1, 1] do not overlap.
+        """
+        # imported here so that runs without a grid do not load scipy.fft
+        from scipy.fft import next_fast_len
+
+        if x <= 0 or t_max < 0:
+            raise ValueError("need x > 0 and t_max >= 0")
+        xi_max = t_max / x
+        m_min = xi_max + max(xi_max, _HAT_NEGLIGIBLE_FREQ)
+        r = math.ceil((2.0 + 1.0 / m_min) / x)
+        length = next_fast_len(math.ceil(m_min * r * x), real=True)
+        m = length / (r * x)
+        j_max = math.floor(m)
+        w = self.value_many(np.arange(j_max + 1) / m)
+        samples = np.zeros(length)
+        samples[: j_max + 1] = w
+        samples[length - j_max :] = w[:0:-1]
+        return np.fft.rfft(samples).real[: r * t_max + 1 : r] / m
+
 
 def make_window() -> WindowFunction:
     c = 1.0 / float(_bump_integral(np.asarray(1.0)))
     return WindowFunction(c=c)
-
-
-def eval_W(w: WindowFunction, x: float) -> float:
-    return w.value(x)
-
-
-def eval_W_hat(w: WindowFunction, xi: float) -> float:
-    return w.hat(xi)
 
 
 def cosine_progression_sum(w: WindowFunction, k0: int, h: float, phi: float) -> float:

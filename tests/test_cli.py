@@ -128,6 +128,30 @@ def test_nu_single_evaluation(tmp_path):
     assert rep["rational_tail_bound"] > 0
 
 
+def test_nu_grid_to_stdout(capsys):
+    assert main(["nu", "--grid", "0:2:5", "--qmax", "200"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "t,nu_cumulative_rational,nu_cumulative_fourier_if_available"
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_nu_unbounded_tail_is_valid_json(capsys):
+    assert main(["nu", "--E", "1/2:1", "--tmax", "0", "--qmax", "200"]) == 0
+    rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert rep["fourier_tail_bound"] is None and rep["fourier_tail_unbounded"] is True
+    assert rep["fourier_form_value"] == 0.25
+    assert main(["nu", "--E", "1/2:1", "--tmax", "100", "--qmax", "200"]) == 0
+    rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert rep["fourier_tail_bound"] > 0 and rep["fourier_tail_unbounded"] is False
+    assert main(["nu", "--E", "1/2:inf", "--qmax", "200"]) == 0
+    rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert rep["rational_tail_bound"] is None and rep["rational_tail_unbounded"] is True
+
+
 def test_nu_quartic_weight(tmp_path):
     out = tmp_path / "nu.json"
     assert main(

@@ -8,6 +8,7 @@ import pytest
 from murmurations.arith import default_euler_constant
 from murmurations.nu import (
     Interval,
+    _squarefree_table,
     evaluate_nu,
     multiplicative_f_array,
     nu_fourier,
@@ -62,6 +63,49 @@ def test_nu_rational_vs_bruteforce(sieve_1m):
         assert abs(got - want) < 1e-12
     atoms = nu_rational(E, 50, sieve_1m).endpoint_atoms
     assert (2, 1, "lo") in atoms and (1, 2, "hi") in atoms
+
+
+def test_nu_rational_float_endpoints_vs_bruteforce(sieve_1m):
+    rng = random.Random(7)
+    for _ in range(6):
+        u = rng.uniform(0.2, 4.0)
+        v = rng.uniform(u + 0.05, 6.0)
+        a_cap = math.ceil(150 / math.sqrt(u)) + 2  # every a with (q/a)^2 >= u
+        for w in (3, 4):
+            got = nu_rational(Interval(u, v), 150, sieve_1m, weight={3: "cubic", 4: "quartic"}[w])
+            want = _brute_nu(u, v, 150, sieve_1m, w=w, a_cap=a_cap)
+            assert abs(got.value - want) < 1e-12 * max(1.0, want)
+            assert got.endpoint_atoms == []
+    # a-bounds near q 1e20 pass 2^63: clipped, and the mass there is ~1e-40
+    tiny = nu_rational(Interval(Fraction(0), 1e-40), 10**4, sieve_1m).value
+    assert 0.0 <= tiny < 1e-30
+
+
+def test_nu_rational_large_denominator_endpoints(sieve_1m):
+    # exact endpoints next to the atoms at y = 1/4 and y = 4, one with a
+    # 1/4 endpoint written in large terms so the atom still sits on it
+    lo = Fraction(10**20, 4 * 10**20 + 1)
+    hi = Fraction(4 * 10**20 - 1, 10**20)
+    got = nu_rational(Interval(lo, hi), 100, sieve_1m)
+    assert abs(got.value - _brute_nu(lo, hi, 100, sieve_1m)) < 1e-12
+    assert got.endpoint_atoms == []
+    big = Fraction(3 * 10**20, 12 * 10**20)
+    got = nu_rational(Interval(big, Fraction(4)), 100, sieve_1m)
+    assert abs(got.value - _brute_nu(big, Fraction(4), 100, sieve_1m)) < 1e-12
+    assert (2, 1, "lo") in got.endpoint_atoms and (1, 2, "hi") in got.endpoint_atoms
+
+
+def test_squarefree_table_vs_factorization(sieve_1m):
+    table = _squarefree_table(2000)
+    for q in range(1, 2001):
+        want = 1.0 / (sieve_1m.euler_phi(q) ** 2 * sieve_1m.sigma(q)) if sieve_1m.mobius(q) else 0.0
+        assert table.coeff[q] == want, q
+    assert table.q.tolist() == [q for q in range(1, 2001) if sieve_1m.mobius(q)]
+    pairs = sorted(zip(table.q[table.owner].tolist(), table.d.tolist(), table.mu_d.tolist()))
+    want = sorted(
+        (q, d, sieve_1m.mobius(d)) for q in table.q.tolist() for d in sieve_1m.divisors(q)
+    )
+    assert pairs == want
 
 
 def test_nu_rational_near_one(sieve_1m):
@@ -203,6 +247,27 @@ def test_s_alpha_mean_value(sieve_1m):
     assert abs(total.mean()) < 1e-3
 
 
+def test_s_alpha_jump_large_numerator(sieve_1m):
+    # alpha q / d overflows 64-bit integers, and alpha sits 1e-30 from 1/3,
+    # closer than a float resolves; the floors must be exact
+    third = s_alpha_jump(Fraction(1, 3), 300, sieve_1m)
+    for offset in (1, -1):
+        alpha = Fraction(10**30 + offset, 3 * 10**30)
+        want = 0.5 - ZETA2 * float(alpha)
+        for q in range(1, 301):
+            if sieve_1m.mobius(q) == 0:
+                continue
+            count = sum(
+                mu * (alpha.numerator * q // (alpha.denominator * d))
+                for d, mu in _mu_divisor_pairs(sieve_1m, q)
+            )
+            want += count / (sieve_1m.euler_phi(q) ** 2 * sieve_1m.sigma(q))
+        got = s_alpha_jump(alpha, 300, sieve_1m, star=True)
+        assert abs(got - want) < 1e-12
+        # above 1/3 its atom (mass 1/16) counts in full, below not at all
+        assert abs(got - (third if offset > 0 else third - 1 / 16)) < 1e-12
+
+
 def _mu_divisor_pairs(sieve, q):
     out = [(1, 1)]
     for p, _ in sieve.factorize(q):
@@ -228,6 +293,7 @@ def test_prop_circle_main_term(window, sieve_1m):
     chk = prop_circle_check(1, 1, 0.0, 500.0, window, sieve_1m)
     assert abs(chk.main_term - 500.0) < 1e-9
     assert abs(chk.residual) <= 0.5
+    assert 0.0 <= chk.hat_error <= 1e-13
 
 
 def test_prop_circle_non_squarefree(window, sieve_1m):

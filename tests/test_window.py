@@ -120,3 +120,13 @@ def test_poisson_identity_large_h(window):
     lhs = cosine_progression_sum(window, k0, h, phi)
     rhs = poisson_weight_sum(window, k0, h, phi)
     assert abs(lhs - rhs) < 1e-8
+
+
+def test_hat_grid_matches_quadrature(window):
+    # t_mult = 400 makes M follow 2 t_max/x rather than the 250 floor
+    for x, t_mult in ((1.0, 120), (1.5, 120), (2.0, 120), (333.7, 120), (1000.0, 120), (1.5, 400)):
+        t_max = int(t_mult * x)
+        grid = window.hat_grid(x, t_max)
+        assert grid.shape == (t_max + 1,)
+        t = np.unique(np.linspace(0, t_max, 4001).astype(np.int64))
+        assert np.max(np.abs(grid[t] - window.hat_many(t / x))) <= 1e-13, x
