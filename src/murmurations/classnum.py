@@ -17,6 +17,7 @@ __all__ = [
     "DiscriminantFactorization",
     "ClassNumberTable",
     "sieve_class_numbers",
+    "hurwitz6",
     "unit_count",
     "is_fundamental",
     "decompose_discriminant",
@@ -92,6 +93,24 @@ def sieve_class_numbers(bound: int) -> ClassNumberTable:
                 w[c == a] = 1
                 h[idx] += w
     return ClassNumberTable(bound=bound, h=h)
+
+
+def hurwitz6(table: ClassNumberTable) -> np.ndarray:
+    """6 H(n) for n = 0..bound as exact integers, H the Hurwitz class number.
+
+    H(n) = sum over f^2 | n of h(-n/f^2) / (w(-n/f^2)/2), the forms of every
+    order containing Z[sqrt(-n)]; w/2 is 3 at -3, 2 at -4 and 1 otherwise,
+    so 6 H is integral.  One strided slice-add per f <= sqrt(bound).  Entries
+    at n = 1, 2 mod 4, and at n = 0, are 0.
+    """
+    weighted = 6 * table.h.astype(np.int64)
+    weighted[3] = 2  # h(-3) = 1, w/2 = 3
+    weighted[4] = 3  # h(-4) = 1, w/2 = 2
+    h6 = np.zeros(table.bound + 1, dtype=np.int64)
+    for f in range(1, math.isqrt(table.bound) + 1):
+        top = table.bound // (f * f)
+        h6[: top * f * f + 1 : f * f] += weighted[: top + 1]
+    return h6
 
 
 def _squarefree_kernel(n: int) -> tuple[int, int]:
@@ -249,39 +268,41 @@ def psi_bar_bruteforce(
 
     Discriminants t^2 - 4n cover negative, positive, square, and zero values;
     all go through the same d ell^2 split (square D gives d = 1, the trivial
-    character).
+    character).  With a ``DiscriminantTable`` all residues are evaluated as
+    arrays; without one, by one ``psi_D`` call each.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if m == 1:
         return Fraction(1)
     m2 = m * m
-    total = 0
-    count = 0
     t2 = t * t
-    if disc_table is not None:
-        d_neg, ell_neg = disc_table.d_neg, disc_table.ell_neg
-        d_pos, ell_pos = disc_table.d_pos, disc_table.ell_pos
-        for n in range(1, m2 + 1):
-            if math.gcd(n, m) != 1:
-                continue
-            count += 1
-            D = t2 - 4 * n
-            if D == 0:
-                total += 1
-                continue
-            if D < 0:
-                d, ell = int(d_neg[-D]), int(ell_neg[-D])
-            else:
-                d, ell = int(d_pos[D]), int(ell_pos[D])
-            total += kronecker(d, m // math.gcd(m, ell))
-    else:
-        for n in range(1, m2 + 1):
-            if math.gcd(n, m) != 1:
-                continue
-            count += 1
-            total += psi_D(t2 - 4 * n, m, sieve)
-    return Fraction(total, count)
+    if disc_table is None:
+        residues = [n for n in range(1, m2 + 1) if math.gcd(n, m) == 1]
+        total = sum(psi_D(t2 - 4 * n, m, sieve) for n in residues)
+        return Fraction(total, len(residues))
+    n = np.arange(1, m2 + 1, dtype=np.int64)
+    n = n[np.gcd(n, m) == 1]
+    D = t2 - 4 * n
+    absd = np.abs(D)
+    if int(absd.max()) > disc_table.bound:
+        raise ValueError(f"|D|={int(absd.max())} exceeds discriminant table bound")
+    neg = D < 0
+    d = np.where(neg, disc_table.d_neg[absd], disc_table.d_pos[absd]).astype(np.int64)
+    ell = np.where(neg, disc_table.ell_neg[absd], disc_table.ell_pos[absd])
+    g = np.gcd(ell.astype(np.int64), m)
+    # (d / (m/g)) = prod over p^e || m of (d/p)^(e - v_p(g)); (d/p) depends
+    # on d mod p for odd p and on d mod 8 at p = 2
+    chi = np.ones(n.size, dtype=np.int64)
+    for p, e in sieve.factorize(m):
+        period = 8 if p == 2 else p
+        symbol = np.array([kronecker(r, p) for r in range(period)], dtype=np.int64)
+        power = np.full(n.size, e, dtype=np.int64)
+        for j in range(1, e + 1):
+            power -= g % p**j == 0
+        chi *= symbol[d % period] ** power
+    chi[D == 0] = 1  # psi_0 is trivial
+    return Fraction(int(chi.sum()), n.size)
 
 
 def _phi_pp(p: int, j: int) -> int:

@@ -23,6 +23,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_CAPACITY = 3
+EXIT_VERIFY = 4
 
 
 def _fmt(x: float) -> str:
@@ -86,20 +87,17 @@ def cmd_sieve(args) -> int:
 
 def cmd_trace(args) -> int:
     ctx = _load_context(args, 4 * args.nmax)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        for n in range(1, args.nmax + 1):
-            tr = trace_hecke(ctx, args.k, n)
-            norm = tr * math.exp(0.5 * (1 - args.k) * math.log(n)) if n > 1 else float(tr)
-            if args.verify and dimension_supported(args.k):
-                want = oracle_trace(args.k, n)
-                if want != tr:
-                    print(f"error: oracle mismatch at n={n}: {tr} != {want}", file=sys.stderr)
-                    return EXIT_CAPACITY
-            out.write(f"{n}\t{tr}\t{_fmt(norm)}\n")
-    finally:
-        if args.out:
-            out.close()
+    rows = []
+    for n in range(1, args.nmax + 1):
+        tr = trace_hecke(ctx, args.k, n)
+        norm = tr * math.exp(0.5 * (1 - args.k) * math.log(n)) if n > 1 else float(tr)
+        if args.verify and dimension_supported(args.k):
+            want = oracle_trace(args.k, n)
+            if want != tr:
+                print(f"error: oracle mismatch at n={n}: {tr} != {want}", file=sys.stderr)
+                return EXIT_VERIFY
+        rows.append(f"{n}\t{tr}\t{_fmt(norm)}\n")
+    _emit("".join(rows), args.out)
     if args.verify:
         print(f"verified against q-expansion oracle for k={args.k}", file=sys.stderr)
     return EXIT_OK
@@ -128,7 +126,7 @@ def cmd_murmur(args) -> int:
     required = 4 * int(float(interval.hi) * n) + 4
     try:
         ctx = _load_context(args, required)
-        series = compute_series(req, ctx, threads=args.threads)
+        series = compute_series(req, ctx)
     except TableBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -335,8 +333,6 @@ def main(argv=None) -> int:
     p.add_argument("--cache")
     p.add_argument("--out", required=True)
     p.add_argument("--summary")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default MURMUR_THREADS or cpu count, max 8)")
     p.set_defaults(func=cmd_murmur)
 
     p = sub.add_parser("nu", help="limit-measure evaluation or cumulative curve CSV")

@@ -5,8 +5,6 @@ variant of the limit measure."""
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,7 +12,7 @@ import numpy as np
 
 from .arith import analytic_conductor
 from .nu import Interval
-from .trace import TableBoundError, TraceContext, progression_weights
+from .trace import TableBoundError, TraceContext, elliptic_sums, progression_weights
 
 __all__ = [
     "MurmurationRequest",
@@ -24,8 +22,6 @@ __all__ = [
     "cumulative_curve",
     "integer_murmuration_nu",
 ]
-
-_CHUNK = 512
 
 
 def dimension_S_k(k: int) -> int:
@@ -59,6 +55,8 @@ class MurmurationRequest:
             raise ValueError("delta must be 0 or 1")
         if not 0 < self.H < self.K:
             raise ValueError("need 0 < H < K (weights stay >= 4)")
+        if not math.isfinite(float(self.E.hi)):
+            raise ValueError("E must be bounded: the sum runs over n <= E.hi N")
         if self.weighting not in ("unit", "sqrt_p"):
             raise ValueError(f"unknown weighting {self.weighting!r}")
         if self.summand_domain not in ("primes", "integers"):
@@ -95,80 +93,43 @@ class MurmurationSeries:
         return float(math.fsum(self.denominator))
 
 
-def _geometric_progression_sum(r: float, k_min: int, m: int) -> float:
-    """sum_{j=0}^{m-1} r^(k_min - 1 + 4j) for 0 <= r <= 1."""
-    if m == 0:
-        return 0.0
-    if r >= 1.0:
-        return float(m)
-    lead = r ** (k_min - 1)
-    if lead == 0.0:
-        return 0.0
+def _geometric_progression_sum(r, k_min: int, m: int):
+    """sum_{j=0}^{m-1} r^(k_min - 1 + 4j) for 0 <= r < 1, elementwise."""
     r4 = r**4
-    return lead * (1.0 - r4**m) / (1.0 - r4)
+    return r ** (k_min - 1) * (1.0 - r4**m) / (1.0 - r4)
 
 
-def _elliptic_inner(n: int, k_min: int, m: int, l1: np.ndarray) -> float:
-    """sum_{t^2 < 4n} L(1, psi_{t^2-4n}) * sum_{k in window} cos((k-1) phi_{t,n}).
-
-    The k-sum is the closed Dirichlet-kernel form; t = 0 contributes the
-    window count m exactly.  Vector-safe: for t >= 1 the denominator
-    |e^{4 i phi} - 1| stays well away from 0 (phi in (0, pi/2)).
-    """
-    tmax = math.isqrt(4 * n - 1)
-    total = float(m) * float(l1[4 * n])
-    if tmax >= 1:
-        t = np.arange(1, tmax + 1, dtype=np.int64)
-        phi = np.arcsin(t / (2.0 * math.sqrt(n)))
-        lead = np.exp(1j * (k_min - 1) * phi)
-        num = np.exp(1j * 4.0 * m * phi) - 1.0
-        den = np.exp(1j * 4.0 * phi) - 1.0
-        kernel = (lead * num / den).real
-        total += 2.0 * float(np.dot(kernel, l1[4 * n - t * t]))
-    return total
-
-
-def _chunk_terms(ns, req: MurmurationRequest, ctx: TraceContext, k_min, m, d_prog, l1):
-    sign = 1.0 if req.delta == 0 else -1.0
+def _hyperbolic_terms(ns, k_min: int, m: int, sieve) -> np.ndarray:
+    """The square and hyperbolic (divisor) terms of the trace formula at each
+    n, normalized by n^((1-k)/2) and summed over the weight window; k >= 4,
+    so the sigma term of k = 2 never enters."""
     ksum1 = m * (k_min - 1 + 2 * (m - 1))  # sum of (k - 1) over the window
-    num = np.empty(len(ns))
-    den = np.empty(len(ns))
+    out = np.empty(len(ns))
     for i, n in enumerate(ns):
         n = int(n)
-        logn = math.log(n)
-        inner = sign / math.pi * _elliptic_inner(n, k_min, m, l1)
-        if req.summand_domain == "primes":
-            val = -_geometric_progression_sum(n**-0.5, k_min, m) + inner
-        else:
-            val = inner
-            root = math.isqrt(n)
-            if root * root == n:
-                val += ksum1 / (12.0 * root)
-            rn = math.sqrt(n)
-            half = 0.0
-            for d in ctx.sieve.divisors(n):
-                if d * d > n:
-                    break
-                if d * d == n:
-                    half += float(m)
-                else:
-                    half += 2.0 * _geometric_progression_sum(min(d, n // d) / rn, k_min, m)
-            val -= 0.5 * half
-        if req.weighting == "sqrt_p":
-            val *= math.sqrt(n)
-        num[i] = logn * val
-        den[i] = logn * d_prog
-    return num, den
+        val = 0.0
+        root = math.isqrt(n)
+        if root * root == n:
+            val += ksum1 / (12.0 * root)
+        rn = math.sqrt(n)
+        half = 0.0
+        for d in sieve.divisors(n):
+            if d * d > n:
+                break
+            if d * d == n:
+                half += float(m)
+            else:
+                half += 2.0 * _geometric_progression_sum(min(d, n // d) / rn, k_min, m)
+        out[i] = val - 0.5 * half
+    return out
 
 
-def compute_series(
-    req: MurmurationRequest, ctx: TraceContext, threads: int | None = None
-) -> MurmurationSeries:
+def compute_series(req: MurmurationRequest, ctx: TraceContext) -> MurmurationSeries:
     """Evaluate the statistic for every summation point with n/N in E.
 
-    Work is split into fixed chunks of summation points; chunks may run on a
-    thread pool but are reassembled in index order, so results are identical
-    for any thread count.
+    The elliptic sums of all points come from one batched kernel
+    (``trace.elliptic_sums``), so the result does not depend on how the
+    points are blocked.
     """
     N = analytic_conductor(req.K).N
     lo = float(req.E.lo) * N
@@ -189,28 +150,18 @@ def compute_series(
     if m == 0:
         raise ValueError("no admissible weights in [K-H, K+H]")
     d_prog = sum(dimension_S_k(k_min + 4 * j) for j in range(m))
-    l1 = ctx.l1_array()
 
-    if threads is None:
-        threads = int(os.environ.get("MURMUR_THREADS", "0")) or min(
-            8, os.cpu_count() or 1
-        )
-    chunks = [ns[i : i + _CHUNK] for i in range(0, ns.size, _CHUNK)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda c: _chunk_terms(c, req, ctx, k_min, m, d_prog, l1), chunks
-                )
-            )
+    sign = 1.0 if req.delta == 0 else -1.0
+    val = sign / math.pi * elliptic_sums(ns, k_min, m, ctx.l1_array())
+    if req.summand_domain == "primes":
+        val = -_geometric_progression_sum(ns**-0.5, k_min, m) + val
     else:
-        parts = [_chunk_terms(c, req, ctx, k_min, m, d_prog, l1) for c in chunks]
-    if parts:
-        num = np.concatenate([p[0] for p in parts])
-        den = np.concatenate([p[1] for p in parts])
-    else:
-        num = np.zeros(0)
-        den = np.zeros(0)
+        val += _hyperbolic_terms(ns, k_min, m, ctx.sieve)
+    if req.weighting == "sqrt_p":
+        val *= np.sqrt(ns)
+    logn = np.log(ns)
+    num = logn * val
+    den = logn * d_prog
     x = ns / N
     cum_num = np.cumsum(num)
     cum_den = np.cumsum(den)

@@ -392,6 +392,8 @@ def nu_fourier(
     """
     if float(E.lo) <= 0:
         raise ValueError("Fourier form needs a strictly positive lower endpoint")
+    if not math.isfinite(float(E.hi)):
+        raise ValueError("Fourier form needs a finite upper endpoint")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     w = {"cubic": 3, "quartic": 4}[weight]
@@ -425,7 +427,8 @@ def evaluate_nu(
 ) -> NuEvaluation:
     rat = nu_rational(E, q_max, sieve, weight=weight)
     four = None
-    if t_max is not None and float(E.lo) > 0:
+    # the Fourier form needs 0 < lo and hi < inf; otherwise only the rational one
+    if t_max is not None and float(E.lo) > 0 and math.isfinite(float(E.hi)):
         four = nu_fourier(E, t_max, sieve, weight=weight)
     return NuEvaluation(
         E=E,

@@ -9,14 +9,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import FactorSieve, kronecker
-from .classnum import ClassNumberTable, decompose_discriminant
+from .arith import FactorSieve
+from .classnum import ClassNumberTable, hurwitz6
 
 __all__ = [
     "TableBoundError",
     "TraceContext",
     "EllipticAngle",
     "trace_hecke",
+    "elliptic_sums",
     "eigenvalue_sum_prime",
     "progression_cosine_sum",
     "progression_weights",
@@ -53,15 +54,18 @@ class EllipticAngle:
 class TraceContext:
     """Shared immutable state for trace evaluations.
 
-    The elliptic-term Dirichlet values L(1, psi_D) for all D down to -bound
-    are materialized lazily as one float array; construction is the only
-    mutation, queries afterwards are pure and thread-safe.
+    ``h6[n]`` holds 6 H(n), the Hurwitz class numbers of every n <= bound,
+    built on construction; the elliptic-term Dirichlet values L(1, psi_D)
+    are materialized lazily from it as one float array.  Queries are pure.
     """
 
     table: ClassNumberTable
     sieve: FactorSieve
-    _l1: np.ndarray | None = field(default=None, repr=False)
-    _w12: dict = field(default_factory=dict, repr=False)
+    h6: np.ndarray = field(init=False, repr=False)
+    _l1: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.h6 = hurwitz6(self.table)
 
     def require(self, abs_disc: int) -> None:
         if abs_disc > self.table.bound:
@@ -69,43 +73,16 @@ class TraceContext:
         if abs_disc > self.sieve.bound:
             raise TableBoundError(abs_disc, self.sieve.bound)
 
-    def weight12(self, D: int) -> int:
-        """12 h(d)/w(d) * prod_{p | ell}(p^e + (1 - (d/p))(p^e - 1)/(p - 1)).
-
-        Exact integer: w(d) divides 12.  Cached per discriminant.
-        """
-        w = self._w12.get(D)
-        if w is not None:
-            return w
-        fac = decompose_discriminant(D, self.sieve)
-        hd = int(self.table.h[-fac.d])
-        if fac.d == -3:
-            units = 6
-        elif fac.d == -4:
-            units = 4
-        else:
-            units = 2
-        prod = 1
-        for p, e in self.sieve.factorize(fac.ell):
-            pe = p**e
-            prod *= pe + (1 - kronecker(fac.d, p)) * (pe - 1) // (p - 1)
-        w = 12 * hd * prod // units
-        self._w12[D] = w
-        return w
-
     def l1_array(self) -> np.ndarray:
-        """L(1, psi_D) indexed by |D| for every D = 0, 1 mod 4, -bound <= D < 0."""
+        """L(1, psi_D) indexed by |D| for every D = 0, 1 mod 4, -bound <= D < 0.
+
+        L(1, psi_D) = pi H(|D|) / sqrt|D| (Zagier), so one division of the
+        6 H table; entries at |D| = 0 and at non-discriminants are 0.
+        """
         if self._l1 is None:
-            bound = self.table.bound
-            w12 = np.zeros(bound + 1, dtype=np.float64)
-            for n in range(3, bound + 1):
-                if n % 4 in (0, 3):
-                    w12[n] = self.weight12(-n)
-            absd = np.arange(bound + 1, dtype=np.float64)
+            absd = np.arange(self.table.bound + 1, dtype=np.float64)
             absd[0] = 1.0
-            # L(1, psi_D) = 2 pi (h(d)/w(d)) prod(...) / sqrt|D|
-            self._l1 = (2.0 * math.pi / 12.0) * w12 / np.sqrt(absd)
-            self._w12.clear()
+            self._l1 = (2.0 * math.pi / 12.0) * self.h6 / np.sqrt(absd)
         return self._l1
 
     def l1(self, D: int) -> float:
@@ -128,7 +105,7 @@ def trace_hecke(ctx: TraceContext, k: int, n: int) -> int:
     """Exact integer trace of T_n on S_k(1), k even >= 2.
 
     All four pieces are accumulated in twelfths so the elliptic weights
-    h(d)/w(d) stay integral; the total is exactly divisible by 12.
+    6 H(4n - t^2) stay integral; the total is exactly divisible by 12.
     """
     if k < 2 or k % 2:
         raise ValueError("weight must be an even integer >= 2")
@@ -143,7 +120,7 @@ def trace_hecke(ctx: TraceContext, k: int, n: int) -> int:
     tmax = math.isqrt(4 * n - 1)
     for t in range(0, tmax + 1):
         u = _lucas_row(t, n, k - 2)[k - 2]
-        term = u * ctx.weight12(t * t - 4 * n)
+        term = u * int(ctx.h6[4 * n - t * t])
         twelfths -= term if t == 0 else 2 * term
     # hyperbolic: (1/2) sum over d | n of min(d, n/d)^(k-1)
     hyp = sum(min(d, n // d) ** (k - 1) for d in ctx.sieve.divisors(n))
@@ -153,6 +130,55 @@ def trace_hecke(ctx: TraceContext, k: int, n: int) -> int:
     if twelfths % 12:
         raise ArithmeticError(f"non-integral trace for k={k}, n={n}")
     return twelfths // 12
+
+
+# (n, t) terms per block of elliptic_sums: keeps each temporary at 128 KiB;
+# blocks hold whole n, so the result does not depend on the size
+_BLOCK_TERMS = 1 << 14
+
+
+def _dirichlet_kernel(phi, sin2phi, k_min: int, m: int):
+    """sum_{j<m} cos((k_min - 1 + 4j) phi) in the closed form
+    sin(2 m phi) / sin(2 phi) * cos((k_min - 1 + 2(m - 1)) phi), given
+    sin(2 phi) away from 0."""
+    return np.sin(2 * m * phi) / sin2phi * np.cos((k_min - 1 + 2 * (m - 1)) * phi)
+
+
+def elliptic_sums(ns, k_min: int, m: int, l1: np.ndarray) -> np.ndarray:
+    """For each n: sum over t^2 < 4n of L(1, psi_{t^2-4n}) times the cosine
+    sum of cos((k-1) phi_{t,n}) over the m weights k = k_min + 4j.
+
+    The t = 0 term is m L(1, psi_{-4n}) exactly; the t and -t terms are
+    equal.  Every (n, t >= 1) pair of a block is flattened into one array and
+    summed per n with ``np.add.reduceat``.  For t >= 1, sin(2 phi) >=
+    1/sqrt(n) stays away from 0.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    out = m * l1[4 * ns]
+    if ns.size == 0:
+        return out
+    if ns.min() < 1:
+        raise ValueError("n must be positive")
+    # isqrt(4n - 1): the rounded root of an integer below 2^51 never
+    # reaches the next integer, and 4n indexes l1, so it is far below that
+    t_max = np.floor(np.sqrt(4.0 * ns - 1.0)).astype(np.int64)
+    ends = np.cumsum(t_max)
+    lo = 0
+    while lo < ns.size:
+        start = ends[lo] - t_max[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _BLOCK_TERMS, side="right")))
+        counts = t_max[lo:hi]
+        offsets = ends[lo:hi] - counts - start
+        n = np.repeat(ns[lo:hi], counts)
+        t = np.arange(1, counts.sum() + 1, dtype=np.int64) - np.repeat(offsets, counts)
+        disc = 4 * n - t * t
+        phi = np.arcsin(t / (2.0 * np.sqrt(n)))
+        # sin(2 phi) = t sqrt(4n - t^2) / 2n, exact inputs near phi = pi/2
+        sin2phi = t * np.sqrt(disc) / (2.0 * n)
+        terms = _dirichlet_kernel(phi, sin2phi, k_min, m) * l1[disc]
+        out[lo:hi] += 2.0 * np.add.reduceat(terms, offsets)
+        lo = hi
+    return out
 
 
 def eigenvalue_sum_prime(ctx: TraceContext, k: int, p: int) -> float:
@@ -166,13 +192,7 @@ def eigenvalue_sum_prime(ctx: TraceContext, k: int, p: int) -> float:
     if not ctx.sieve.is_prime(p):
         raise ValueError(f"{p} is not prime")
     ctx.require(4 * p)
-    l1 = ctx.l1_array()
-    tmax = math.isqrt(4 * p - 1)
-    t = np.arange(1, tmax + 1, dtype=np.int64)
-    phi = np.arcsin(t / (2.0 * math.sqrt(p)))
-    inner = float(l1[4 * p]) + 2.0 * float(
-        np.dot(np.cos((k - 1) * phi), l1[4 * p - t * t])
-    )
+    inner = float(elliptic_sums([p], k, 1, ctx.l1_array())[0])
     sign = 1.0 if k % 4 == 0 else -1.0
     return -math.exp(0.5 * (1 - k) * math.log(p)) + sign * inner / math.pi
 
@@ -195,9 +215,8 @@ def progression_weights(K: float, H: float, delta: int) -> tuple[int, int]:
 def progression_cosine_sum(K: float, H: float, delta: int, phi: float) -> float:
     """sum of cos((k-1) phi) over the weight progression of (K, H, delta).
 
-    Closed Dirichlet-kernel form Re(e^{i(kmin-1)phi} (e^{4im phi}-1) /
-    (e^{4i phi}-1)) with a direct-summation fallback near the degenerate
-    denominator |sin 2 phi| < 1e-8.
+    Closed Dirichlet-kernel form with a direct-summation fallback near the
+    degenerate denominator |sin 2 phi| < 1e-8.
     """
     k_min, m = progression_weights(K, H, delta)
     if m == 0:
@@ -206,7 +225,4 @@ def progression_cosine_sum(K: float, H: float, delta: int, phi: float) -> float:
         return float(
             np.sum(np.cos((k_min - 1 + 4 * np.arange(m, dtype=np.float64)) * phi))
         )
-    num = complex(math.cos(4 * m * phi), math.sin(4 * m * phi)) - 1.0
-    den = complex(math.cos(4 * phi), math.sin(4 * phi)) - 1.0
-    lead = complex(math.cos((k_min - 1) * phi), math.sin((k_min - 1) * phi))
-    return (lead * num / den).real
+    return float(_dirichlet_kernel(phi, math.sin(2.0 * phi), k_min, m))

@@ -148,21 +148,27 @@ def poisson_weight_sum(
 
     The l-sum is extended until the transform values sit below ``tail`` (and
     in any case to arguments past 200, beyond which the transform is at the
-    quadrature noise floor).
+    quadrature noise floor): it stops at the third l in a row with both
+    |W-hat(+-h l + shift)| < tail, or at the first such l with h l > 220.
+    The transform is evaluated in batches of l, each by one ``hat_many``.
     """
+    if h <= 0:
+        raise ValueError("window width h must be positive")
     shift = 2.0 * h * phi / math.pi
+    # enough l to pass 220 and three more, where the sum almost always ends
+    batch = math.ceil(220.0 / h) + 3
     total = w.hat(shift)
     ell = 1
     small = 0
     while True:
-        a = w.hat(h * ell + shift)
-        b = w.hat(-h * ell + shift)
-        total += a + b
-        if abs(a) < tail and abs(b) < tail:
-            small += 1
-            if small >= 3 or h * ell > 220.0:
-                break
-        else:
-            small = 0
-        ell += 1
-    return h * math.cos((k0 - 1) * phi) * total
+        ells = np.arange(ell, ell + batch, dtype=np.float64)
+        pairs = w.hat_many(np.stack([h * ells + shift, -h * ells + shift])).T
+        for a, b in pairs.tolist():
+            total += a + b
+            if abs(a) < tail and abs(b) < tail:
+                small += 1
+                if small >= 3 or h * ell > 220.0:
+                    return h * math.cos((k0 - 1) * phi) * total
+            else:
+                small = 0
+            ell += 1

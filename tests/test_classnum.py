@@ -10,6 +10,7 @@ from murmurations.classnum import (
     L1_psi_D,
     L1_psi_bar,
     decompose_discriminant,
+    hurwitz6,
     is_fundamental,
     load_class_numbers,
     psi_D,
@@ -205,6 +206,40 @@ def test_psi_bar_closed_form_matches_bruteforce(sieve_1m, disc_table):
                 assert psi_bar_prime_power(t, p, e) == psi_bar_bruteforce(
                     t, p**e, sieve_1m, disc_table
                 ), (p, e, t)
+
+
+def test_psi_bar_table_path_matches_loop(sieve_1m, disc_table):
+    # the array evaluation against one psi_D call per residue
+    for m in list(range(2, 25)) + [27, 32, 45]:
+        for t in (-7, -2, 0, 1, 3, 6, 10):
+            assert psi_bar_bruteforce(t, m, sieve_1m, disc_table) == psi_bar_bruteforce(
+                t, m, sieve_1m
+            ), (t, m)
+
+
+def test_hurwitz6_matches_class_number_formula(class_table_20k, sieve_1m):
+    # 6 H(|D|) = 12 L(1, psi_D) sqrt|D| / 2 pi at every discriminant
+    h6 = hurwitz6(class_table_20k)
+    for n in range(3, class_table_20k.bound + 1):
+        if n % 4 in (0, 3):
+            want = L1_psi_D(-n, class_table_20k, sieve_1m) * math.sqrt(n) * 12 / (2 * math.pi)
+            assert h6[n] == round(want), n
+        else:
+            assert h6[n] == 0, n
+    assert h6[3] == 2 and h6[4] == 3 and h6[12] == 8 and h6[0] == 0
+
+
+def test_kronecker_hurwitz_relation(class_table_20k, sieve_1m):
+    # sum over t^2 <= 4n of H(4n - t^2) = 2 sigma(n) - sum_{d | n} min(d, n/d),
+    # with H(0) = -1/12; in twelfths, 12 H = 2 h6 away from 0
+    h6 = hurwitz6(class_table_20k)
+    for n in range(1, 3001):
+        t = np.arange(-math.isqrt(4 * n), math.isqrt(4 * n) + 1)
+        disc = 4 * n - t * t
+        lhs = 2 * int(h6[disc].sum()) - int(np.count_nonzero(disc == 0))
+        divisors = sieve_1m.divisors(n)
+        rhs = 24 * sieve_1m.sigma(n) - 12 * sum(min(d, n // d) for d in divisors)
+        assert lhs == rhs, n
 
 
 def test_dirichlet_series_consistency(sieve_1m):

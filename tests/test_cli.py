@@ -1,6 +1,9 @@
 import json
 import math
 
+import pytest
+
+from murmurations import cli
 from murmurations.cli import main
 from murmurations.classnum import load_class_numbers, sieve_class_numbers, save_class_numbers
 
@@ -186,3 +189,25 @@ def test_usage_errors():
 
 def test_io_error_paths(tmp_path):
     assert main(["sieve", "--dmax", "400", "--out", str(tmp_path / "nodir" / "x.bin")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["murmur", "--K", "230", "--H", "30", "--delta", "0", "--E", "0:inf",
+          "--out", "{tmp}/m.csv"], 1, "E must be bounded"),
+        (["nu", "--E", "1/2:inf", "--tmax", "100", "--qmax", "200"], 0, ""),
+        (["trace", "--k", "12", "--nmax", "5", "--out", "{tmp}/nodir/t.tsv"], 2, "cannot write"),
+        (["trace", "--k", "12", "--nmax", "5", "--verify"], 4, "oracle mismatch at n=1"),
+    ],
+    ids=["murmur-unbounded-E", "nu-unbounded-E", "trace-unwritable-out", "trace-verify-mismatch"],
+)
+def test_failure_exit_codes(argv, code, message, tmp_path, capsys, monkeypatch):
+    # only --verify consults the oracle; this one disagrees at every n
+    monkeypatch.setattr(cli, "oracle_trace", lambda k, n: -1)
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert message in err and "Traceback" not in err
+    if code == 0:
+        rep = json.loads(out, parse_constant=_reject_constant)
+        assert rep["fourier_form_value"] is None and rep["rational_form_value"] > 0

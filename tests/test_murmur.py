@@ -11,6 +11,7 @@ from murmurations.murmur import (
     dimension_S_k,
     integer_murmuration_nu,
 )
+from murmurations import trace
 from murmurations.nu import Interval
 from murmurations.qexp import oracle_trace
 from murmurations.trace import TableBoundError, progression_weights, trace_hecke
@@ -41,7 +42,7 @@ def test_exchange_of_summation_vs_naive(ctx_small):
     """Optimized numerator (k-sum inside the t-sum) against the direct
     (p, k) double loop through exact traces."""
     req = MurmurationRequest(delta=0, K=60.0, H=20.0, E=Interval(0.5, 2.0))
-    series = compute_series(req, ctx_small, threads=1)
+    series = compute_series(req, ctx_small)
     k_min, m = progression_weights(60.0, 20.0, 0)
     ks = [k_min + 4 * j for j in range(m)]
     for i, p in enumerate(series.n):
@@ -56,7 +57,7 @@ def test_exchange_of_summation_vs_naive(ctx_small):
 def test_single_prime_window_matches_oracle(ctx_small):
     # K = 16, H = 4 window holds k in {12, 16, 20}; E isolates p = 5
     req = MurmurationRequest(delta=0, K=16.0, H=4.0, E=Interval(3.0, 4.0))
-    series = compute_series(req, ctx_small, threads=1)
+    series = compute_series(req, ctx_small)
     assert list(series.n) == [5]
     want = math.log(5) * math.fsum(
         oracle_trace(k, 5) * 5.0 ** (0.5 * (1 - k)) for k in (12, 16, 20)
@@ -71,7 +72,7 @@ def test_integers_domain_vs_naive(ctx_small):
     req = MurmurationRequest(
         delta=1, K=40.0, H=12.0, E=Interval(1.0, 4.0), summand_domain="integers"
     )
-    series = compute_series(req, ctx_small, threads=1)
+    series = compute_series(req, ctx_small)
     assert series.n.size > 20
     k_min, m = progression_weights(40.0, 12.0, 1)
     ks = [k_min + 4 * j for j in range(m)]
@@ -117,24 +118,25 @@ def test_scale_covariance(smoke_context):
         assert t1 == t2 and abs(r1 - r2) < 1e-13 * max(1.0, abs(r1))
 
 
-def test_thread_count_invariance(smoke_context):
+def test_block_size_invariance(smoke_context, monkeypatch):
     req = MurmurationRequest(delta=0, K=600.0, H=60.0, E=Interval(Fraction(0), Fraction(2)))
-    one = compute_series(req, smoke_context, threads=1)
-    eight = compute_series(req, smoke_context, threads=8)
-    assert np.array_equal(one.numerator, eight.numerator)
-    assert np.array_equal(one.denominator, eight.denominator)
-    assert np.array_equal(one.cumulative, eight.cumulative)
+    whole = compute_series(req, smoke_context)
+    # blocks of two to a few points instead of about 160
+    monkeypatch.setattr(trace, "_BLOCK_TERMS", 300)
+    small = compute_series(req, smoke_context)
+    assert np.array_equal(whole.numerator, small.numerator)
+    assert np.array_equal(whole.denominator, small.denominator)
+    assert np.array_equal(whole.cumulative, small.cumulative)
 
 
 def test_sqrt_p_weighting(smoke_context):
     E = Interval(Fraction(0), Fraction(1))
     base = compute_series(
-        MurmurationRequest(delta=0, K=600.0, H=60.0, E=E), smoke_context, threads=1
+        MurmurationRequest(delta=0, K=600.0, H=60.0, E=E), smoke_context
     )
     boosted = compute_series(
         MurmurationRequest(delta=0, K=600.0, H=60.0, E=E, weighting="sqrt_p"),
         smoke_context,
-        threads=1,
     )
     assert np.allclose(boosted.numerator, base.numerator * np.sqrt(base.n), rtol=1e-12)
     assert np.array_equal(boosted.denominator, base.denominator)
@@ -155,7 +157,7 @@ def test_cumulative_curve_empty_range(smoke_context):
 def test_table_bound_error(ctx_small):
     req = MurmurationRequest(delta=0, K=900.0, H=60.0, E=Interval(Fraction(0), Fraction(2)))
     with pytest.raises(TableBoundError) as info:
-        compute_series(req, ctx_small, threads=1)
+        compute_series(req, ctx_small)
     assert info.value.required > ctx_small.table.bound
 
 
@@ -173,6 +175,6 @@ def test_integer_domain_approaches_integer_nu(ctx_small):
     req = MurmurationRequest(
         delta=0, K=120.0, H=30.0, E=E, summand_domain="integers"
     )
-    series = compute_series(req, ctx_small, threads=1)
+    series = compute_series(req, ctx_small)
     r = cumulative_curve(series, [4.0])[0][1]
     assert abs(r - integer_murmuration_nu(E, 10**4)) < 0.05

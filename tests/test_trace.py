@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from murmurations.qexp import oracle_trace
@@ -7,6 +8,7 @@ from murmurations.trace import (
     EllipticAngle,
     TableBoundError,
     eigenvalue_sum_prime,
+    elliptic_sums,
     progression_cosine_sum,
     progression_weights,
     trace_hecke,
@@ -116,6 +118,22 @@ def test_progression_cosine_sum_vs_direct():
     for phi in (0.3, -1.1, math.pi / 2, 1e-9, 0.7853):
         direct = math.fsum(math.cos((k - 1) * phi) for k in ks)
         assert abs(progression_cosine_sum(3850.0, 100.0, 0, phi) - direct) < 1e-10
+
+
+def test_elliptic_sums_vs_direct_cosine_sum(sieve_1m):
+    # p = 187 631, the largest prime of the K = 3850 figure; one unit L(1)
+    # value isolates the (p, t) term, which enters for t and -t
+    p = 187631
+    assert sieve_1m.is_prime(p)
+    k_min, m = progression_weights(3850.0, 100.0, 0)
+    ks = [k_min + 4 * j for j in range(m)]
+    for t in (1, math.isqrt(4 * p - 1)):
+        l1 = np.zeros(4 * p + 1)
+        l1[4 * p - t * t] = 1.0
+        phi = float(np.arcsin(t / (2.0 * math.sqrt(p))))
+        direct = math.fsum(math.cos((k - 1) * phi) for k in ks)
+        got = elliptic_sums([p], k_min, m, l1)[0] / 2.0
+        assert abs(got - direct) <= 1e-9, t
 
 
 def test_elliptic_angle():
