@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import FactorSieve, default_euler_constant, kronecker
+from .arith import FactorSieve, build_factor_sieve, default_euler_constant, kronecker
 
 __all__ = [
     "DiscriminantFactorization",
@@ -67,31 +67,32 @@ def sieve_class_numbers(bound: int) -> ClassNumberTable:
     """Count reduced primitive forms (a, b, c) per discriminant b^2 - 4ac.
 
     Reduction: |b| <= a <= c with b >= 0 when |b| = a or a = c; forms with
-    0 < b < a < c count twice for the +-b pair.  Outer loops run over (a, b)
-    with the c range vectorized.
+    0 < b < a < c count twice for the +-b pair.  For fixed (a, b) the values
+    4ac - b^2, c >= a, run through a progression of step 4a, so one strided
+    slice-add counts every reduced form, primitive or not.  A form g (a', b',
+    c') has discriminant g^2 D', so that count is the sum of h(n / g^2) over
+    g^2 | n, and Moebius inversion, one prime p at a time, leaves h exactly.
     """
     if bound < 4:
         raise ValueError("bound must be at least 4")
     h = np.zeros(bound + 1, dtype=np.int32)
     amax = math.isqrt(bound // 3)
     for a in range(1, amax + 1):
+        step = 4 * a
         for b in range(0, a + 1):
-            cmax = (bound + b * b) // (4 * a)
-            if cmax < a:
+            # the start falls as b grows, so later b may still fit
+            start = step * a - b * b
+            if start > bound:
                 continue
-            c = np.arange(a, cmax + 1, dtype=np.int64)
-            g = math.gcd(a, b)
-            if g > 1:
-                c = c[np.gcd(c, g) == 1]
-                if c.size == 0:
-                    continue
-            idx = 4 * a * c - b * b
             if b == 0 or b == a:
-                h[idx] += 1
+                h[start::step] += 1
             else:
-                w = np.full(c.size, 2, dtype=np.int32)
-                w[c == a] = 1
-                h[idx] += w
+                h[start::step] += 2
+                h[start] -= 1  # c = a: only +b is reduced
+    # in place: numpy buffers the overlapping read, so it sees the old values
+    for p in build_factor_sieve(math.isqrt(bound)).primes.tolist():
+        top = bound // (p * p)
+        h[p * p : top * p * p + 1 : p * p] -= h[1 : top + 1]
     return ClassNumberTable(bound=bound, h=h)
 
 

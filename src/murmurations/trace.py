@@ -90,15 +90,22 @@ class TraceContext:
         return float(self.l1_array()[-D])
 
 
-def _lucas_row(t: int, n: int, jmax: int) -> list[int]:
-    """u_0..u_jmax with u_{j+1} = t u_j - n u_{j-1}; u_j = (rho^{j+1} -
-    conj^{j+1})/(rho - conj) for the roots of X^2 - t X + n."""
-    row = [1] * (jmax + 1)
-    if jmax >= 1:
-        row[1] = t
-    for j in range(2, jmax + 1):
-        row[j] = t * row[j - 1] - n * row[j - 2]
-    return row
+def _lucas_u(t: int, n: int, m: int) -> int:
+    """U_m(t, n) = (rho^m - conj^m) / (rho - conj) for the roots of
+    X^2 - t X + n, so U_0 = 0, U_1 = 1, U_{j+1} = t U_j - n U_{j-1}.
+
+    A doubling ladder over the bits of m on (U_j, V_j, n^j), V_j = rho^j +
+    conj^j: U_2j = U_j V_j, V_2j = V_j^2 - 2 n^j, and one step up is
+    U_{j+1} = (t U_j + V_j)/2, V_{j+1} = ((t^2 - 4n) U_j + t V_j)/2, both
+    exact since t U_j + V_j = 2 U_{j+1}.
+    """
+    disc = t * t - 4 * n
+    u, v, q = 0, 2, 1
+    for bit in bin(m)[2:]:
+        u, v, q = u * v, v * v - 2 * q, q * q
+        if bit == "1":
+            u, v, q = (t * u + v) // 2, (disc * u + t * v) // 2, q * n
+    return u
 
 
 def trace_hecke(ctx: TraceContext, k: int, n: int) -> int:
@@ -119,7 +126,7 @@ def trace_hecke(ctx: TraceContext, k: int, n: int) -> int:
     # elliptic terms over t^2 < 4n, symmetric in t for even k
     tmax = math.isqrt(4 * n - 1)
     for t in range(0, tmax + 1):
-        u = _lucas_row(t, n, k - 2)[k - 2]
+        u = _lucas_u(t, n, k - 1)
         term = u * int(ctx.h6[4 * n - t * t])
         twelfths -= term if t == 0 else 2 * term
     # hyperbolic: (1/2) sum over d | n of min(d, n/d)^(k-1)

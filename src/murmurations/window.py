@@ -70,13 +70,14 @@ class WindowFunction:
         """W-hat on an array of frequencies by composite panel quadrature.
 
         Panels are sized for the largest |xi| so one node grid (and one set
-        of window values) is shared across the whole batch.  This is the
+        of window values) is shared across the whole batch; at least 16, so
+        that a batch of small |xi| is resolved to about 1e-15.  This is the
         reference evaluation; whole t/x grids come from ``hat_grid``.
         """
         xi = np.asarray(xi, dtype=np.float64)
         if xi.size == 0:
             return np.zeros(0)
-        n = max(6, int(math.ceil(np.abs(xi).max())) + 4)
+        n = max(16, int(math.ceil(np.abs(xi).max())) + 4)
         edges = np.linspace(0.0, 1.0, n + 1)
         half = 0.5 / n
         u = ((edges[:-1] + edges[1:]) / 2.0)[:, None] + half * _NODES16[None, :]

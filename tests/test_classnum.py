@@ -31,7 +31,7 @@ def test_known_class_numbers(class_table_20k):
         assert class_table_20k.class_number(d) == h
 
 
-def _brute_force_form_counts(bound):
+def _brute_force_form_counts(bound, primitive=True):
     # direct loop over every reduced triple with both signs of b written out
     h = np.zeros(bound + 1, dtype=np.int64)
     amax = math.isqrt(bound)
@@ -42,7 +42,8 @@ def _brute_force_form_counts(bound):
                 disc = 4 * a * c - b * b
                 if disc > bound:
                     break
-                if disc > 0 and math.gcd(math.gcd(a, abs(b)), c) == 1:
+                content = math.gcd(math.gcd(a, abs(b)), c)
+                if disc > 0 and (content == 1 or not primitive):
                     reduced = (abs(b) <= a <= c) and not (
                         b < 0 and (abs(b) == a or a == c)
                     )
@@ -60,39 +61,60 @@ def test_form_sieve_vs_bruteforce():
     assert int(table.h.sum()) == int(brute.sum())
 
 
+def test_form_sieve_small_bounds():
+    # every bound from the smallest: progressions that start past the bound,
+    # and primes p with p^2 near the bound in the Moebius step
+    for bound in range(4, 301):
+        table = sieve_class_numbers(bound)
+        assert table.h.dtype == np.int32
+        assert np.array_equal(table.h, _brute_force_form_counts(bound)), bound
+
+
+def test_all_forms_are_class_numbers_over_squares():
+    # every reduced form is g times a primitive one of discriminant D / g^2
+    bound = 2000
+    h = sieve_class_numbers(bound).h
+    every = _brute_force_form_counts(bound, primitive=False)
+    for n in range(1, bound + 1):
+        squares = [g * g for g in range(1, math.isqrt(n) + 1) if n % (g * g) == 0]
+        assert every[n] == sum(int(h[n // s]) for s in squares), n
+
+
 def test_class_number_vs_dirichlet_formula(class_table_20k, sieve_1m):
     """h(d) must equal w(d) sqrt|d| L(1, chi_d) / (2 pi) with L summed directly."""
     m_terms = 10**6
     inv_m = 1.0 / np.arange(1, m_terms + 1, dtype=np.float64)
+    d_max = 10**4
     fundamental = [
-        d for d in range(-3, -10**4 - 1, -1) if d % 4 in (0, 1) and is_fundamental(d)
+        d for d in range(-3, -d_max - 1, -1) if d % 4 in (0, 1) and is_fundamental(d)
     ]
     assert len(fundamental) > 3000
+    # chi_d(r) is completely multiplicative in r: r = p s with p = spf(r),
+    # filled in layers of equal Omega(r) so that each layer reads set values
+    spf = sieve_1m.spf[: d_max + 1].astype(np.int64)
+    omega = np.zeros(d_max + 1, dtype=np.int64)
+    for r in range(2, d_max + 1):
+        omega[r] = omega[r // spf[r]] + 1
+    layers = [np.flatnonzero(omega == j) for j in range(2, int(omega.max()) + 1)]
+    # at odd primes, chi_d(p) = (d mod p / p), read from one flat table of
+    # Legendre symbols built from the squares mod p
+    odd = sieve_1m.primes[(sieve_1m.primes > 2) & (sieve_1m.primes <= d_max)]
+    offsets = np.cumsum(odd) - odd
+    legendre = np.full(int(odd.sum()), -1.0)
+    for p, off in zip(odd.tolist(), offsets.tolist()):
+        legendre[off + np.arange(1, p) ** 2 % p] = 1.0
+        legendre[off] = 0.0
     for d in fundamental:
         period = abs(d)
-        chi = np.zeros(period, dtype=np.float64)  # chi[r] = kronecker(d, r+1)
-        vals = {}
-        for r in range(1, period + 1):
-            if r == 1:
-                chi[r - 1] = 1.0
-                continue
-            # multiplicative build keeps the kronecker calls to primes only
-            small = r
-            p = 2
-            while p * p <= small:
-                if small % p == 0:
-                    break
-                p += 1
-            else:
-                p = small
-            if p == r:
-                v = vals.get(r)
-                if v is None:
-                    v = kronecker(d, r)
-                    vals[r] = v
-                chi[r - 1] = v
-            else:
-                chi[r - 1] = chi[p - 1] * chi[r // p - 1]
+        chi = np.zeros(period + 1)  # chi[r] = kronecker(d, r) for r >= 1
+        chi[1] = 1.0
+        chi[2] = kronecker(d, 2)
+        p = odd[: np.searchsorted(odd, period, side="right")]
+        chi[p] = legendre[offsets[: p.size] + d % p]
+        for layer in layers:
+            r = layer[: np.searchsorted(layer, period, side="right")]
+            chi[r] = chi[spf[r]] * chi[r // spf[r]]
+        chi = chi[1:]
         reps = m_terms // period
         ltrunc = 0.0
         if reps:

@@ -7,6 +7,7 @@ from murmurations.qexp import oracle_trace
 from murmurations.trace import (
     EllipticAngle,
     TableBoundError,
+    _lucas_u,
     eigenvalue_sum_prime,
     elliptic_sums,
     progression_cosine_sum,
@@ -32,6 +33,17 @@ def test_trace_at_one_is_dimension(ctx_small):
     dims = {4: 0, 6: 0, 8: 0, 10: 0, 12: 1, 14: 0, 24: 2, 36: 3}
     for k, d in dims.items():
         assert trace_hecke(ctx_small, k, 1) == d
+
+
+def test_lucas_ladder_vs_recurrence():
+    # U_m(t, n) by the doubling ladder against U_{m+1} = t U_m - n U_{m-1}
+    for t in range(-20, 21):
+        for n in range(1, 31):
+            prev, cur = 0, 1
+            for m in range(1, 66):
+                assert _lucas_u(t, n, m) == cur, (t, n, m)
+                prev, cur = cur, t * cur - n * prev
+            assert _lucas_u(t, n, 0) == 0
 
 
 def test_trace_oracle_sample(ctx_small):

@@ -130,3 +130,12 @@ def test_hat_grid_matches_quadrature(window):
         assert grid.shape == (t_max + 1,)
         t = np.unique(np.linspace(0, t_max, 4001).astype(np.int64))
         assert np.max(np.abs(grid[t] - window.hat_many(t / x))) <= 1e-13, x
+
+
+def test_hat_small_xi_resolved(window):
+    # a batch of small |xi| alone against the same xi on 500 panels, which
+    # the far frequency 496 forces
+    xs = [0.3, 1.4, 1.7, 2.5]
+    ref = window.hat_many(xs + [496.0])[: len(xs)]
+    for x, want in zip(xs, ref):
+        assert abs(window.hat(x) - want) <= 1e-14, x
