@@ -187,35 +187,28 @@ class DiscriminantTable:
         if bound > sieve.bound:
             raise ValueError("decomposition bound exceeds sieve bound")
         self.bound = bound
-        self.d_neg = np.zeros(bound + 1, dtype=np.int32)
-        self.ell_neg = np.zeros(bound + 1, dtype=np.int32)
-        self.d_pos = np.zeros(bound + 1, dtype=np.int32)
-        self.ell_pos = np.zeros(bound + 1, dtype=np.int32)
-        factorize = sieve.factorize
-        for n in range(1, bound + 1):
-            r = n % 4
-            if r == 2:  # |D| = 2 mod 4 is a discriminant for neither sign
-                continue
-            ell = 1
-            s = 1
-            for p, e in factorize(n):
-                ell *= p ** (e // 2)
-                if e % 2:
-                    s *= p
-            if r in (0, 3):  # valid |D| for D < 0
-                if (-s) % 4 == 1:
-                    self.d_neg[n] = -s
-                    self.ell_neg[n] = ell
-                else:
-                    self.d_neg[n] = -4 * s
-                    self.ell_neg[n] = ell // 2
-            if r in (0, 1):  # valid |D| for D > 0
-                if s % 4 == 1:
-                    self.d_pos[n] = s
-                    self.ell_pos[n] = ell
-                else:
-                    self.d_pos[n] = 4 * s
-                    self.ell_pos[n] = ell // 2
+        # ell(n), the largest f with f^2 | n: the last (largest) f to write wins
+        ell = np.ones(bound + 1, dtype=np.int32)
+        for f in range(2, math.isqrt(bound) + 1):
+            ell[f * f :: f * f] = f
+        s = np.arange(bound + 1, dtype=np.int32)
+        s //= ell * ell  # the squarefree part, n = s ell^2
+        residue = np.arange(bound + 1, dtype=np.int32) & 3
+        # D = -s ell^2 keeps (d, ell) = (-s, ell) when -s = 1 mod 4; otherwise
+        # d = -4s and ell is even, so it halves.  |D| = 1, 2 mod 4 gives d = 0.
+        wide = (s & 3) != 3
+        self.d_neg = -s
+        self.d_neg[wide] *= 4
+        self.d_neg[(residue == 1) | (residue == 2)] = 0
+        self.ell_neg = ell.copy()
+        self.ell_neg[wide] >>= 1
+        # D = s ell^2 likewise with s = 1 mod 4; |D| = 2, 3 mod 4 gives d = 0
+        wide = (s & 3) != 1
+        self.d_pos = s
+        self.d_pos[wide] *= 4
+        self.d_pos[residue >= 2] = 0
+        self.ell_pos = ell
+        self.ell_pos[wide] >>= 1
         # keep ell = 0 markers out of gcd paths
         self.ell_neg[self.d_neg == 0] = 1
         self.ell_pos[self.d_pos == 0] = 1

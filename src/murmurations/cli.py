@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -55,7 +56,32 @@ def _emit_json(payload: dict, path) -> None:
     _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", path)
 
 
+# bytes per |D| <= bound: the int32 class numbers h alone, and with them the
+# int64 6H table, the float64 L(1) table and the int32 factor sieve
+_SIEVE_BYTES = 4
+_CONTEXT_BYTES = 4 + 8 + 8 + 4
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(bound: int, bytes_per_entry: int) -> None:
+    """Refuse with the capacity exit code, before allocating, when the tables
+    for |D| <= bound cannot fit in physical memory."""
+    need = bytes_per_entry * (bound + 1)
+    have = _physical_memory()
+    if need > have:
+        print(
+            f"error: tables for |D| <= {bound} need {need} bytes, "
+            f"more than the {have} bytes of physical memory",
+            file=sys.stderr,
+        )
+        raise SystemExit(EXIT_CAPACITY)
+
+
 def _load_context(args, required_bound: int) -> TraceContext:
+    _require_memory(required_bound, _CONTEXT_BYTES)
     if getattr(args, "cache", None):
         try:
             table = load_class_numbers(args.cache)
@@ -68,6 +94,7 @@ def _load_context(args, required_bound: int) -> TraceContext:
                 file=sys.stderr,
             )
             raise SystemExit(EXIT_CAPACITY)
+        _require_memory(table.bound, _CONTEXT_BYTES)
     else:
         table = sieve_class_numbers(max(required_bound, 16))
     sieve = build_factor_sieve(max(table.bound, 16))
@@ -75,6 +102,7 @@ def _load_context(args, required_bound: int) -> TraceContext:
 
 
 def cmd_sieve(args) -> int:
+    _require_memory(args.dmax, _SIEVE_BYTES)
     table = sieve_class_numbers(args.dmax)
     try:
         save_class_numbers(table, args.out)
@@ -371,6 +399,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -99,28 +99,27 @@ def _geometric_progression_sum(r, k_min: int, m: int):
     return r ** (k_min - 1) * (1.0 - r4**m) / (1.0 - r4)
 
 
-def _hyperbolic_terms(ns, k_min: int, m: int, sieve) -> np.ndarray:
+def _hyperbolic_terms(ns, k_min: int, m: int) -> np.ndarray:
     """The square and hyperbolic (divisor) terms of the trace formula at each
     n, normalized by n^((1-k)/2) and summed over the weight window; k >= 4,
-    so the sigma term of k = 2 never enters."""
+    so the sigma term of k = 2 never enters.
+
+    ns is a run of consecutive integers, so for each d <= sqrt(n) the n with
+    d | n and d^2 < n are one strided slice, and each gets -G(d / sqrt(n)).
+    """
+    out = np.zeros(len(ns))
+    if not len(ns):
+        return out
+    lo, hi = int(ns[0]), int(ns[-1])
+    rn = np.sqrt(ns)
     ksum1 = m * (k_min - 1 + 2 * (m - 1))  # sum of (k - 1) over the window
-    out = np.empty(len(ns))
-    for i, n in enumerate(ns):
-        n = int(n)
-        val = 0.0
-        root = math.isqrt(n)
-        if root * root == n:
-            val += ksum1 / (12.0 * root)
-        rn = math.sqrt(n)
-        half = 0.0
-        for d in sieve.divisors(n):
-            if d * d > n:
-                break
-            if d * d == n:
-                half += float(m)
-            else:
-                half += 2.0 * _geometric_progression_sum(min(d, n // d) / rn, k_min, m)
-        out[i] = val - 0.5 * half
+    for d in range(1, math.isqrt(hi) + 1):
+        if d * d >= lo:
+            out[d * d - lo] += ksum1 / (12.0 * d) - 0.5 * m
+        first = max(d * d + d, -(-lo // d) * d)
+        if first <= hi:
+            part = slice(first - lo, None, d)
+            out[part] -= _geometric_progression_sum(d / rn[part], k_min, m)
     return out
 
 
@@ -156,7 +155,7 @@ def compute_series(req: MurmurationRequest, ctx: TraceContext) -> MurmurationSer
     if req.summand_domain == "primes":
         val = -_geometric_progression_sum(ns**-0.5, k_min, m) + val
     else:
-        val += _hyperbolic_terms(ns, k_min, m, ctx.sieve)
+        val += _hyperbolic_terms(ns, k_min, m)
     if req.weighting == "sqrt_p":
         val *= np.sqrt(ns)
     logn = np.log(ns)

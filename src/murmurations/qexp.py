@@ -47,27 +47,44 @@ class IntegerPowerSeries:
         return self.coeffs[n] if n >= 0 else 0
 
     def mul(self, other: "IntegerPowerSeries") -> "IntegerPowerSeries":
+        """Truncated product by Kronecker substitution: each series becomes
+        one integer, its digits in base X = 2^(8w), and one big-integer
+        product gives every coefficient.  Coefficients below an offset are
+        structurally zero and are not read."""
         n = min(self.prec + other.offset, other.prec + self.offset)
-        out = [0] * n
-        for i in range(self.offset, min(self.prec, n)):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            jmax = min(other.prec, n - i)
-            for j in range(other.offset, jmax):
-                out[i + j] += a * other.coeffs[j]
-        return IntegerPowerSeries(out, self.offset + other.offset)
+        offset = self.offset + other.offset
+        length = n - offset
+        if length <= 0:
+            return IntegerPowerSeries([0] * n, offset)
+        a = self.coeffs[self.offset : self.offset + length]
+        b = other.coeffs[other.offset : other.offset + length]
+        bits_a = max(map(abs, a)).bit_length()
+        bits_b = bits_a if other is self else max(map(abs, b)).bit_length()
+        # every product digit, a sum of at most `length` terms, stays below X/2
+        w = (bits_a + bits_b + length.bit_length() + 2 + 7) // 8
+        half = 1 << (8 * w - 1)
+        bias = int.from_bytes(half.to_bytes(w, "little") * length, "little")
+        x = _pack(a, w, half) - bias
+        y = x if other is self else _pack(b, w, half) - bias
+        # digits above the truncation may be negative; the mask drops them
+        packed = ((x * y + bias) & ((1 << (8 * w * length)) - 1)).to_bytes(w * length, "little")
+        digits = [
+            int.from_bytes(packed[i : i + w], "little") - half for i in range(0, w * length, w)
+        ]
+        return IntegerPowerSeries([0] * offset + digits, offset)
 
     def pow(self, e: int) -> "IntegerPowerSeries":
-        result = IntegerPowerSeries([1] + [0] * (self.prec - 1), 0)
+        if e == 0:
+            return IntegerPowerSeries([1] + [0] * (self.prec - 1), 0)
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result.mul(base)
+                result = _structural(base) if result is None else result.mul(base)
             e >>= 1
-            if e:
-                base = base.mul(base)
-        return result
+            if not e:
+                return result
+            base = base.mul(base)
 
     def scale(self, k: int) -> "IntegerPowerSeries":
         return IntegerPowerSeries([k * a for a in self.coeffs], self.offset)
@@ -78,6 +95,17 @@ class IntegerPowerSeries:
             [self.coeffs[i] - other.coeffs[i] for i in range(n)],
             min(self.offset, other.offset),
         )
+
+
+def _pack(coeffs: list[int], w: int, half: int) -> int:
+    """sum (c_i + half) X^i, X = 2^(8w): each offset digit is w unsigned bytes."""
+    return int.from_bytes(b"".join([(c + half).to_bytes(w, "little") for c in coeffs]), "little")
+
+
+def _structural(series: IntegerPowerSeries) -> IntegerPowerSeries:
+    """A copy with the coefficients below the offset zeroed, as a product has them."""
+    o = series.offset
+    return IntegerPowerSeries([0] * min(o, series.prec) + series.coeffs[o:], o)
 
 
 def _sigma_power(n: int, k: int) -> int:

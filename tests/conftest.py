@@ -1,9 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from murmurations.arith import analytic_conductor, build_factor_sieve
 from murmurations.classnum import DiscriminantTable, sieve_class_numbers
 from murmurations.trace import TraceContext
 from murmurations.window import make_window
+
+# property tests draw the same examples on every run and keep no example database
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from murmurations.arith import (
     analytic_conductor,
@@ -93,6 +94,22 @@ def test_kronecker_completely_multiplicative():
         m1 = rng.randint(0, 300)
         m2 = rng.randint(0, 300)
         assert kronecker(d, m1 * m2) == kronecker(d, m1) * kronecker(d, m2)
+
+
+_top = st.integers(-(10**6), 10**6)
+_bottom = st.integers(-(10**4), 10**4)
+
+
+@given(_top, _bottom.filter(bool), _bottom.filter(bool))
+def test_kronecker_multiplicative_in_the_bottom(a, m, n):
+    assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
+
+
+@given(_top, _top, _bottom)
+def test_kronecker_multiplicative_in_the_top(a, b, n):
+    # (0 / -1) = 1 while (-1 / -1) = -1, so a zero top needs n >= 0
+    assume(n >= 0 or a * b != 0)
+    assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
 
 
 def test_multiplicative_function_values(sieve_1m):

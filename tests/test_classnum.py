@@ -7,6 +7,7 @@ import pytest
 
 from murmurations.arith import default_euler_constant, kronecker
 from murmurations.classnum import (
+    DiscriminantTable,
     L1_psi_D,
     L1_psi_bar,
     decompose_discriminant,
@@ -159,6 +160,20 @@ def test_decompose_reconstruction(sieve_1m):
         f = decompose_discriminant(D, sieve_1m)
         assert f.d * f.ell**2 == D
         assert f.d == 1 or is_fundamental(f.d)
+
+
+def test_discriminant_table_matches_decompose(sieve_1m):
+    bound = 20000
+    table = DiscriminantTable(bound, sieve_1m)
+    for arr in (table.d_neg, table.ell_neg, table.d_pos, table.ell_pos):
+        assert arr.dtype == np.int32 and arr.shape == (bound + 1,)
+    for n in range(bound + 1):
+        for D in (-n, n):
+            if D == 0 or D % 4 not in (0, 1):
+                assert table.split(D) == (0, 1), D  # the invalid-residue markers
+            else:
+                fac = decompose_discriminant(D, sieve_1m)
+                assert table.split(D) == (fac.d, fac.ell), D
 
 
 def test_psi_examples(sieve_1m):

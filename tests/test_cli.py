@@ -187,6 +187,16 @@ def test_usage_errors():
                  "--out", "/dev/null"]) == 1  # H >= K rejected
 
 
+def test_out_of_memory_is_a_capacity_error(tmp_path, capsys, monkeypatch):
+    def refuse(bound):
+        raise MemoryError(f"cannot allocate {bound} entries")
+
+    monkeypatch.setattr(cli, "sieve_class_numbers", refuse)
+    assert main(["sieve", "--dmax", "400", "--out", str(tmp_path / "x.bin")]) == 3
+    err = capsys.readouterr().err
+    assert "out of memory" in err and "Traceback" not in err
+
+
 def test_io_error_paths(tmp_path):
     assert main(["sieve", "--dmax", "400", "--out", str(tmp_path / "nodir" / "x.bin")]) == 2
 
@@ -199,12 +209,22 @@ def test_io_error_paths(tmp_path):
         (["nu", "--E", "1/2:inf", "--tmax", "100", "--qmax", "200"], 0, ""),
         (["trace", "--k", "12", "--nmax", "5", "--out", "{tmp}/nodir/t.tsv"], 2, "cannot write"),
         (["trace", "--k", "12", "--nmax", "5", "--verify"], 4, "oracle mismatch at n=1"),
+        # refused from the size estimate, before any table is allocated
+        (["murmur", "--K", "1e6", "--H", "10", "--delta", "0", "--E", "0:2",
+          "--out", "{tmp}/x.csv"], 3, "bytes of physical memory"),
+        (["sieve", "--dmax", "1000000000000", "--out", "{tmp}/x.bin"], 3,
+         "bytes of physical memory"),
     ],
-    ids=["murmur-unbounded-E", "nu-unbounded-E", "trace-unwritable-out", "trace-verify-mismatch"],
+    ids=[
+        "murmur-unbounded-E", "nu-unbounded-E", "trace-unwritable-out",
+        "trace-verify-mismatch", "murmur-beyond-memory", "sieve-beyond-memory",
+    ],
 )
 def test_failure_exit_codes(argv, code, message, tmp_path, capsys, monkeypatch):
     # only --verify consults the oracle; this one disagrees at every n
     monkeypatch.setattr(cli, "oracle_trace", lambda k, n: -1)
+    # a fixed 16 GiB, so the capacity rows do not depend on the host
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 16 << 30)
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
     out, err = capsys.readouterr()
     assert message in err and "Traceback" not in err

@@ -6,6 +6,7 @@ import pytest
 
 from murmurations.murmur import (
     MurmurationRequest,
+    _hyperbolic_terms,
     compute_series,
     cumulative_curve,
     dimension_S_k,
@@ -178,3 +179,34 @@ def test_integer_domain_approaches_integer_nu(ctx_small):
     series = compute_series(req, ctx_small)
     r = cumulative_curve(series, [4.0])[0][1]
     assert abs(r - integer_murmuration_nu(E, 10**4)) < 0.05
+
+
+def _hyperbolic_loop(ns, k_min, m):
+    # the per-n divisor loop: sum over d | n, d <= sqrt(n), term by term
+    weights = [k_min + 4 * j for j in range(m)]
+    out = []
+    for n in ns.tolist():
+        root = math.isqrt(n)
+        val = 0.0
+        for d in range(1, root + 1):
+            if n % d:
+                continue
+            if d * d == n:
+                val += sum(k - 1 for k in weights) / (12.0 * d) - 0.5 * m
+            else:
+                r = d / math.sqrt(n)
+                val -= sum(r ** (k - 1) for k in weights)
+        out.append(val)
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(1, 1), (1, 3000), (2, 50), (1599, 2600), (2401, 2500), (12000, 12640)]
+)
+@pytest.mark.parametrize("k_min, m", [(4, 1), (12, 5), (942, 30)])
+def test_hyperbolic_terms_match_divisor_loop(lo, hi, k_min, m):
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    got = _hyperbolic_terms(ns, k_min, m)
+    want = _hyperbolic_loop(ns, k_min, m)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1e-300))

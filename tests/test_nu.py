@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from murmurations.arith import default_euler_constant
 from murmurations.nu import (
@@ -33,6 +34,33 @@ def test_interval_parsing():
         Interval.parse("1")
     with pytest.raises(ValueError):
         Interval(-0.5, 1.0)
+
+
+_exact = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
+_exact_width = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6)
+_float = st.floats(min_value=0, max_value=1e6)
+
+
+@given(_exact, _exact_width, st.fractions(min_value=-10, max_value=3 * 10**6, max_denominator=10**7))
+def test_interval_parse_locate_roundtrip_exact(lo, width, y):
+    hi = lo + width
+    e = Interval.parse(f"{lo}:{hi}")
+    assert (e.lo, e.hi) == (lo, hi) and e.lo_exact and e.hi_exact
+    assert Interval.parse(f"{e.lo}:{e.hi}") == e
+    assert e.locate(lo) == "lo" and e.locate(hi) == "hi"
+    assert e.locate(lo + width / 2) == "in"
+    want = "lo" if y == lo else "hi" if y == hi else "in" if lo < y < hi else "out"
+    assert e.locate(y) == want
+
+
+@given(_float, st.floats(min_value=1e-3, max_value=1e6))
+def test_interval_parse_locate_roundtrip_float(lo, width):
+    hi = lo + width
+    e = Interval.parse(f"{lo!r}:{hi!r}")
+    assert (e.lo, e.hi) == (lo, hi) and not e.lo_exact and not e.hi_exact
+    # a float endpoint is irrational: it carries no atom, so a point on it is out
+    assert e.locate(Fraction(lo)) == "out" and e.locate(Fraction(hi)) == "out"
+    assert e.locate((Fraction(lo) + Fraction(hi)) / 2) == "in"
 
 
 def _brute_nu(E_lo, E_hi, q_max, sieve, w=3, a_cap=4000):

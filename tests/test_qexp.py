@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from murmurations.qexp import (
     IntegerPowerSeries,
@@ -112,3 +113,63 @@ def test_series_multiplication_consistency():
     ab = a.mul(b)
     ba = b.mul(a)
     assert ab.coeffs == ba.coeffs and ab.offset == ba.offset
+
+
+def _schoolbook_mul(a, b):
+    # the direct O(n^2) truncated product, as the definition of mul
+    n = min(a.prec + b.offset, b.prec + a.offset)
+    out = [0] * n
+    for i in range(a.offset, min(a.prec, n)):
+        for j in range(b.offset, min(b.prec, n - i)):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return IntegerPowerSeries(out, a.offset + b.offset)
+
+
+def _schoolbook_pow(a, e):
+    result = IntegerPowerSeries([1] + [0] * (a.prec - 1), 0)
+    for _ in range(e):
+        result = _schoolbook_mul(result, a)
+    return result
+
+
+def _same(x, y):
+    return x.coeffs == y.coeffs and x.offset == y.offset
+
+
+_signed = st.integers(-(10**40), 10**40)
+_series = st.builds(
+    IntegerPowerSeries,
+    st.one_of(
+        st.lists(_signed, min_size=1, max_size=80),
+        st.integers(1, 80).map(lambda n: [0] * n),
+    ),
+    st.integers(0, 3),
+)
+
+
+@given(_series, _series)
+def test_mul_matches_schoolbook(a, b):
+    assert _same(a.mul(b), _schoolbook_mul(a, b))
+
+
+@given(_series)
+def test_square_matches_schoolbook(a):
+    assert _same(a.mul(a), _schoolbook_mul(a, a))
+
+
+@given(_series, st.integers(0, 6))
+def test_pow_matches_repeated_product(a, e):
+    assert _same(a.pow(e), _schoolbook_pow(a, e))
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 17, 80])
+def test_mul_at_the_digit_width_limit(length):
+    # all coefficients +-(2^b - 1): the top product digit is as large as the
+    # bound allows, for every residue of the bit count mod 8
+    for bits in range(1, 80):
+        big = (1 << bits) - 1
+        for signs in ((1, 1), (1, -1), (-1, -1)):
+            a = IntegerPowerSeries([signs[0] * big] * length, 0)
+            b = IntegerPowerSeries([signs[1] * big] * length, 0)
+            assert _same(a.mul(b), _schoolbook_mul(a, b)), (bits, signs)
+            assert _same(a.mul(a), _schoolbook_mul(a, a)), bits

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from murmurations.murmur import dimension_S_k
 from murmurations.qexp import oracle_trace
 from murmurations.trace import (
     EllipticAngle,
@@ -50,6 +52,20 @@ def test_trace_oracle_sample(ctx_small):
     for k in (12, 16, 18, 20, 22, 24, 26):
         for n in range(1, 40):
             assert trace_hecke(ctx_small, k, n) == oracle_trace(k, n)
+
+
+@given(st.integers(1, 60).map(lambda j: 2 * j), st.integers(1, 5000))
+def test_trace_is_an_integer_within_deligne(ctx_small, k, n):
+    tr = trace_hecke(ctx_small, k, n)
+    assert type(tr) is int
+    # |tr T_n| <= dim d(n) n^((k-1)/2), squared to stay in integers
+    bound = dimension_S_k(k) * len(ctx_small.sieve.divisors(n))
+    assert tr * tr <= bound * bound * n ** (k - 1)
+
+
+@given(st.sampled_from([12, 16, 18, 20, 22, 26]), st.integers(1, 60))
+def test_trace_matches_oracle_in_one_dimensional_weights(ctx_small, k, n):
+    assert trace_hecke(ctx_small, k, n) == oracle_trace(k, n)
 
 
 def test_weight_two_vanishes(ctx_small):
