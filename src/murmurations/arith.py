@@ -82,32 +82,48 @@ class FactorSieve:
             divs = [d * p**j for d in divs for j in range(e + 1)]
         return sorted(divs)
 
-    def radical(self, n: int) -> int:
-        r = 1
-        for p, _ in self.factorize(n):
-            r *= p
-        return r
+    def multiplicative_tables(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """mu(q), the atom coefficient mu(q)^2/(phi(q)^2 sigma(q)) and
+        f(q) = prod_{p | q} (1 + 1/(p^2-p-1)) for q = 0..n, each 0 at q = 0.
 
-    def f_multiplicative(self, t: int) -> float:
-        """prod over p | t of (1 + 1/(p^2-p-1)); depends only on radical(t).
-
-        t = 0 is taken as the product over every sieve prime (the limit of
-        divisibility by all primes); see ``f_zero_tail_bound`` for the size
-        of the omitted tail.
+        Every q >= 2 walks down its smallest-prime-factor chain at once, one
+        prime per pass, so the primes of q arrive in ascending order: a prime
+        equal to the previous one zeroes mu, a new one flips mu and multiplies
+        the denominator phi^2 sigma by (p-1)^2 (p+1) and f by its factor.
         """
-        if t == 0:
-            p = self.primes.astype(np.float64)
-            return math.exp(math.fsum(np.log1p(1.0 / (p * p - p - 1.0))))
-        t = abs(t)
-        if t > self.bound:
-            raise ValueError(f"|t|={t} exceeds sieve bound {self.bound}")
-        val = 1.0
-        for p, _ in self.factorize(t):
-            val *= 1.0 + 1.0 / (p * p - p - 1)
-        return val
+        if not 1 <= n <= self.bound:
+            raise ValueError(f"{n} outside sieve range [1, {self.bound}]")
+        mu = np.ones(n + 1, dtype=np.int8)
+        den = np.ones(n + 1)
+        f = np.ones(n + 1)
+        q = np.arange(2, n + 1, dtype=np.int32)
+        rest = q.copy()
+        prev = np.zeros_like(q)
+        while q.size:
+            p = self.spf[rest]
+            rest //= p
+            repeat = p == prev
+            mu[q[repeat]] = 0
+            fresh = q[~repeat]
+            p64 = p[~repeat].astype(np.int64)  # p * p overflows int32
+            mu[fresh] *= -1
+            den[fresh] *= (p64 - 1.0) ** 2 * (p64 + 1.0)
+            f[fresh] *= 1.0 + 1.0 / (p64 * p64 - p64 - 1.0)
+            live = rest > 1
+            q, rest, prev = q[live], rest[live], p[live]
+        mu[0] = 0
+        f[0] = 0.0
+        return mu, np.where(mu != 0, 1.0 / den, 0.0), f
+
+    def f_zero(self) -> float:
+        """f at t = 0: the product of (1 + 1/(p^2-p-1)) over every sieve prime
+        (the limit of divisibility by all primes); see ``f_zero_tail_bound``
+        for the size of the omitted tail."""
+        p = self.primes.astype(np.float64)
+        return math.exp(math.fsum(np.log1p(1.0 / (p * p - p - 1.0))))
 
     def f_zero_tail_bound(self) -> float:
-        """Upper bound for the relative tail omitted by f_multiplicative(0).
+        """Upper bound for the relative tail omitted by f_zero().
 
         The omitted factor is prod_{p > bound} (1 + 1/(p^2-p-1)) which is at
         most exp(sum_{n > bound} 2/n^2) <= exp(2/bound).

@@ -114,47 +114,6 @@ def hurwitz6(table: ClassNumberTable) -> np.ndarray:
     return h6
 
 
-def _squarefree_kernel(n: int) -> tuple[int, int]:
-    # trial division; used only for validation of small inputs
-    s, ell = 1, 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2:
-                s *= d
-            ell *= d ** (e // 2)
-        d += 1
-    return s * n, ell
-
-
-def is_fundamental(d: int) -> bool:
-    if d == 0 or d % 4 not in (0, 1):
-        return False
-    if d % 4 == 1:
-        s, _ = _squarefree_kernel(abs(d))
-        return s == abs(d)
-    m = d // 4
-    if m % 4 not in (2, 3):
-        return False
-    s, _ = _squarefree_kernel(abs(m))
-    return s == abs(m)
-
-
-def unit_count(d: int) -> int:
-    """Number of units in the order of fundamental discriminant d < 0."""
-    if d >= 0 or not is_fundamental(d):
-        raise ValueError(f"{d} is not a negative fundamental discriminant")
-    if d == -3:
-        return 6
-    if d == -4:
-        return 4
-    return 2
-
-
 def decompose_discriminant(D: int, sieve: FactorSieve) -> DiscriminantFactorization:
     """Split a nonzero discriminant as D = d ell^2, d fundamental or d = 1."""
     if D == 0 or D % 4 not in (0, 1):
@@ -173,6 +132,23 @@ def decompose_discriminant(D: int, sieve: FactorSieve) -> DiscriminantFactorizat
         return DiscriminantFactorization(D=D, d=m, ell=ell)
     # m = 2, 3 mod 4 forces ell even because D = m ell^2 = 0, 1 mod 4
     return DiscriminantFactorization(D=D, d=4 * m, ell=ell // 2)
+
+
+def is_fundamental(d: int, sieve: FactorSieve) -> bool:
+    """Whether d is a fundamental discriminant (d = 1 included): a
+    discriminant whose d ell^2 split has ell = 1."""
+    return d != 0 and d % 4 in (0, 1) and decompose_discriminant(d, sieve).ell == 1
+
+
+def unit_count(d: int, sieve: FactorSieve) -> int:
+    """Number of units in the order of fundamental discriminant d < 0."""
+    if d >= 0 or not is_fundamental(d, sieve):
+        raise ValueError(f"{d} is not a negative fundamental discriminant")
+    if d == -3:
+        return 6
+    if d == -4:
+        return 4
+    return 2
 
 
 class DiscriminantTable:
@@ -242,12 +218,7 @@ def L1_psi_D(D: int, table: ClassNumberTable, sieve: FactorSieve) -> float:
         raise ValueError(f"|D|={-D} exceeds class table bound {table.bound}")
     fac = decompose_discriminant(D, sieve)
     hd = int(table.h[-fac.d])
-    if fac.d == -3:
-        w = 6
-    elif fac.d == -4:
-        w = 4
-    else:
-        w = 2
+    w = unit_count(fac.d, sieve)
     prod = 1
     for p, e in sieve.factorize(fac.ell):
         pe = p**e
@@ -336,7 +307,9 @@ def psi_bar(t: int, m: int, sieve: FactorSieve) -> Fraction:
 
 def L1_psi_bar(t: int, sieve: FactorSieve) -> float:
     """L(1, psi_bar_t) = C * f(t) with C the working Euler-product constant."""
-    return default_euler_constant() * sieve.f_multiplicative(t)
+    t = abs(t)
+    f = sieve.f_zero() if t == 0 else float(sieve.multiplicative_tables(t)[2][t])
+    return default_euler_constant() * f
 
 
 def save_class_numbers(table: ClassNumberTable, path) -> None:

@@ -27,7 +27,6 @@ __all__ = [
     "s_alpha_fourier",
     "CircleCheck",
     "prop_circle_check",
-    "multiplicative_f_array",
 ]
 
 ZETA2 = math.pi**2 / 6.0
@@ -144,25 +143,6 @@ def _zeta_tails(w: int, B: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
-def _squarefree_sieve(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """mu(q) and the atom coefficient mu(q)^2/(phi(q)^2 sigma(q)) for
-    q = 0..n (both 0 at q = 0), by one pass over the primes p <= n: a
-    squarefree q collects the factor (p-1)^2 (p+1) of each p | q."""
-    mu = np.ones(n + 1, dtype=np.int8)
-    den = np.ones(n + 1)
-    for p in build_factor_sieve(max(n, 2)).primes:
-        p = int(p)
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-        den[p::p] *= float(p - 1) ** 2 * (p + 1)
-    mu[0] = 0
-    coeff = np.where(mu != 0, 1.0 / den, 0.0)
-    # cached and shared between callers
-    mu.flags.writeable = coeff.flags.writeable = False
-    return mu, coeff
-
-
 @dataclass(frozen=True)
 class _SquarefreeTable:
     """The squarefree q <= q_max, their atom coefficients, and every pair
@@ -177,7 +157,8 @@ class _SquarefreeTable:
 
 @lru_cache(maxsize=8)
 def _squarefree_table(q_max: int) -> _SquarefreeTable:
-    mu, coeff = _squarefree_sieve(q_max)
+    # a sieve of its own: a cache keyed on the caller's sieve would keep it alive
+    mu, coeff, _ = build_factor_sieve(max(q_max, 2)).multiplicative_tables(q_max)
     q = np.flatnonzero(mu)
     # each squarefree d against its multiples k d <= q_max; a squarefree
     # multiple has squarefree divisors only, so this lists every pair once
@@ -189,7 +170,8 @@ def _squarefree_table(q_max: int) -> _SquarefreeTable:
     index = np.zeros(q_max + 1, dtype=np.int64)
     index[q] = np.arange(q.size)
     table = _SquarefreeTable(coeff=coeff, q=q, owner=index[multiple[keep]], d=d, mu_d=mu[d])
-    for arr in (table.q, table.owner, table.d, table.mu_d):
+    # cached and shared between callers
+    for arr in (table.coeff, table.q, table.owner, table.d, table.mu_d):
         arr.flags.writeable = False
     return table
 
@@ -351,21 +333,6 @@ def _oscillatory_integrals(E: Interval, tmax: int, w: int) -> np.ndarray:
     return out
 
 
-def multiplicative_f_array(sieve: FactorSieve, tmax: int) -> np.ndarray:
-    """f(t) = prod_{p | t} (1 + 1/(p^2 - p - 1)) for t = 0..tmax (f[0] = 0,
-    unused); built by one sieve pass over primes."""
-    if tmax > sieve.bound:
-        raise ValueError("tmax exceeds sieve bound")
-    f = np.ones(tmax + 1, dtype=np.float64)
-    for p in sieve.primes:
-        p = int(p)
-        if p > tmax:
-            break
-        f[p::p] *= 1.0 + 1.0 / (p * p - p - 1.0)
-    f[0] = 0.0
-    return f
-
-
 def nu_fourier(
     E: Interval,
     t_max: int,
@@ -404,7 +371,7 @@ def nu_fourier(
         base = (v**1.5 - u**1.5) / 3.0
     if t_max == 0:
         return NuPart(value=base, tail_bound=math.inf)
-    coeff = default_euler_constant() / ZETA2 * multiplicative_f_array(sieve, t_max)[1:]
+    coeff = default_euler_constant() / ZETA2 * sieve.multiplicative_tables(t_max)[2][1:]
     taper = _taper_window().value_many(np.arange(1, t_max + 1) / float(t_max))
     integrals = _oscillatory_integrals(E, t_max, w)
     value = base + float(np.dot(coeff * taper, integrals))
@@ -490,7 +457,7 @@ def s_alpha_fourier(alpha: Fraction | float, t_max: int, sieve: FactorSieve) -> 
         phase = 2.0 * math.pi * residues / q
     else:
         phase = 2.0 * math.pi * float(alpha) * t
-    f = multiplicative_f_array(sieve, t_max)[1:]
+    f = sieve.multiplicative_tables(t_max)[2][1:]
     c = default_euler_constant()
     return float(np.dot(c * f / (math.pi * t), np.sin(phase)))
 
@@ -542,16 +509,16 @@ def prop_circle_check(
     if x < 1:
         raise ValueError("x must be at least 1")
     t_max = int(t_mult * x)
-    f = multiplicative_f_array(sieve, t_max)
+    _, coeff, f = sieve.multiplicative_tables(max(t_max, q))
     c = default_euler_constant()
     t = np.arange(1, t_max + 1, dtype=np.int64)
     # reduce the rational part of alpha exactly; only theta t needs floats
     phase = 2.0 * math.pi * (((a * t) % q) / float(q) + theta * t)
     what = window.hat_grid(x, t_max)
     lhs = c * (
-        sieve.f_multiplicative(0) + 2.0 * float(np.dot(f[1:] * np.cos(phase), what[1:]))
+        sieve.f_zero() + 2.0 * float(np.dot(f[1 : t_max + 1] * np.cos(phase), what[1:]))
     )
-    main = x * window.value(x * theta) * _squarefree_sieve(q)[1][q]
+    main = x * window.value(x * theta) * coeff[q]
     probe = np.linspace(0, t_max, _HAT_PROBES).astype(np.int64)
     hat_error = float(np.max(np.abs(what[probe] - window.hat_many(probe / float(x)))))
     return CircleCheck(

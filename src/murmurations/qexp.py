@@ -108,17 +108,14 @@ def _structural(series: IntegerPowerSeries) -> IntegerPowerSeries:
     return IntegerPowerSeries([0] * min(o, series.prec) + series.coeffs[o:], o)
 
 
-def _sigma_power(n: int, k: int) -> int:
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d**k
-            q = n // d
-            if q != d:
-                total += q**k
-        d += 1
-    return total
+def _sigma_powers(precision: int, k: int) -> list[int]:
+    """sigma_k(n) for n = 0..precision (0 at n = 0): d^k added to every multiple of d."""
+    sigma = [0] * (precision + 1)
+    for d in range(1, precision + 1):
+        dk = d**k
+        for m in range(d, precision + 1, d):
+            sigma[m] += dk
+    return sigma
 
 
 def _euler_product(prec: int) -> IntegerPowerSeries:
@@ -153,7 +150,7 @@ def eisenstein(k: int, precision: int) -> IntegerPowerSeries:
         mult, power = -504, 5
     else:
         raise ValueError("only Eisenstein weights 4 and 6 are provided")
-    coeffs = [1] + [mult * _sigma_power(n, power) for n in range(1, precision + 1)]
+    coeffs = [1] + [mult * s for s in _sigma_powers(precision, power)[1:]]
     return IntegerPowerSeries(coeffs, 0)
 
 

@@ -15,7 +15,6 @@ from .classnum import ClassNumberTable, hurwitz6
 __all__ = [
     "TableBoundError",
     "TraceContext",
-    "EllipticAngle",
     "trace_hecke",
     "elliptic_sums",
     "eigenvalue_sum_prime",
@@ -33,21 +32,6 @@ class TableBoundError(ValueError):
         super().__init__(
             f"class-number table covers |D| <= {available}, need {required}"
         )
-
-
-@dataclass(frozen=True)
-class EllipticAngle:
-    """Angle phi = arcsin(t / 2 sqrt(n)) in (-pi/2, pi/2) for t^2 < 4n."""
-
-    t: int
-    n: int
-    phi: float
-
-    @classmethod
-    def of(cls, t: int, n: int) -> "EllipticAngle":
-        if t * t >= 4 * n:
-            raise ValueError(f"t^2 = {t*t} must be below 4n = {4*n}")
-        return cls(t=t, n=n, phi=math.asin(t / (2.0 * math.sqrt(n))))
 
 
 @dataclass
@@ -84,10 +68,6 @@ class TraceContext:
             absd[0] = 1.0
             self._l1 = (2.0 * math.pi / 12.0) * self.h6 / np.sqrt(absd)
         return self._l1
-
-    def l1(self, D: int) -> float:
-        self.require(-D)
-        return float(self.l1_array()[-D])
 
 
 def _lucas_u(t: int, n: int, m: int) -> int:

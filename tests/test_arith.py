@@ -91,8 +91,9 @@ def test_kronecker_completely_multiplicative():
     rng = random.Random(5)
     for _ in range(500):
         d = rng.randint(-50, 50)
-        m1 = rng.randint(0, 300)
-        m2 = rng.randint(0, 300)
+        # (d / m1 m2) = (d / m1)(d / m2) fails at m1 = 0: (-1 / 0) = 1, (-1 / 3) = -1
+        m1 = rng.randint(1, 300)
+        m2 = rng.randint(1, 300)
         assert kronecker(d, m1 * m2) == kronecker(d, m1) * kronecker(d, m2)
 
 
@@ -162,18 +163,53 @@ def test_ramanujan_sum_values(sieve_1m):
 
 
 def test_f_multiplicative(sieve_1m):
-    f = sieve_1m.f_multiplicative
-    assert f(1) == 1.0
-    assert f(2) == 2.0
-    assert f(12) == f(6)  # depends only on the radical
-    assert f(-15) == f(15)
+    f = sieve_1m.multiplicative_tables(30)[2]
+    assert f[1] == 1.0
+    assert f[2] == 2.0
+    assert f[12] == f[6]  # depends only on the radical
+
+
+def _multiplicative_reference(sieve, q):
+    """mu(q), mu(q)^2/(phi(q)^2 sigma(q)) and f(q) from one factorisation,
+    products taken over ascending p as the table takes them."""
+    fac = sieve.factorize(q)
+    den, f = 1.0, 1.0
+    for p, _ in fac:
+        den *= float(p - 1) ** 2 * (p + 1)
+        f *= 1.0 + 1.0 / (p * p - p - 1)
+    if any(e > 1 for _, e in fac):
+        return 0, 0.0, f
+    return (-1) ** len(fac), 1.0 / den, f
+
+
+def test_multiplicative_tables_match_factorize(sieve_1m):
+    n = 5000
+    mu, coeff, f = sieve_1m.multiplicative_tables(n)
+    assert mu.dtype == np.int8 and coeff.dtype == f.dtype == np.float64
+    assert mu.shape == coeff.shape == f.shape == (n + 1,)
+    assert (mu[0], coeff[0], f[0]) == (0, 0.0, 0.0)
+    for q in range(1, n + 1):
+        want_mu, want_coeff, want_f = _multiplicative_reference(sieve_1m, q)
+        assert mu[q] == want_mu, q
+        # bitwise: the same factors multiplied in the same order
+        assert coeff[q] == want_coeff and f[q] == want_f, q
+    # a table shorter than the sieve agrees with the longer one
+    small = sieve_1m.multiplicative_tables(97)
+    for got, full in zip(small, (mu, coeff, f)):
+        assert got.tobytes() == full[:98].tobytes()
+    tiny = build_factor_sieve(2)
+    assert [a.tolist() for a in tiny.multiplicative_tables(1)] == [[0, 1], [0.0, 1.0], [0.0, 1.0]]
+    with pytest.raises(ValueError):
+        sieve_1m.multiplicative_tables(0)
+    with pytest.raises(ValueError):
+        tiny.multiplicative_tables(3)
 
 
 def test_f_zero_euler_identity(sieve_1m):
     # with matching prime truncations, C * f(0) collapses to the partial
     # Euler product of zeta(2) exactly
     c = euler_constant_C(10**6)
-    f0 = sieve_1m.f_multiplicative(0)
+    f0 = sieve_1m.f_zero()
     p = sieve_1m.primes.astype(np.float64)
     zeta2_partial = math.exp(-math.fsum(np.log1p(-1.0 / (p * p))))
     assert abs(c * f0 - zeta2_partial) < 1e-10 * zeta2_partial

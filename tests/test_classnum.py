@@ -87,7 +87,7 @@ def test_class_number_vs_dirichlet_formula(class_table_20k, sieve_1m):
     inv_m = 1.0 / np.arange(1, m_terms + 1, dtype=np.float64)
     d_max = 10**4
     fundamental = [
-        d for d in range(-3, -d_max - 1, -1) if d % 4 in (0, 1) and is_fundamental(d)
+        d for d in range(-3, -d_max - 1, -1) if d % 4 in (0, 1) and is_fundamental(d, sieve_1m)
     ]
     assert len(fundamental) > 3000
     # chi_d(r) is completely multiplicative in r: r = p s with p = spf(r),
@@ -130,14 +130,45 @@ def test_class_number_vs_dirichlet_formula(class_table_20k, sieve_1m):
         assert round(estimate) == class_table_20k.class_number(d), d
 
 
-def test_unit_count():
-    assert unit_count(-3) == 6
-    assert unit_count(-4) == 4
-    assert unit_count(-7) == 2
+def test_unit_count(sieve_1m):
+    assert unit_count(-3, sieve_1m) == 6
+    assert unit_count(-4, sieve_1m) == 4
+    assert unit_count(-7, sieve_1m) == 2
     with pytest.raises(ValueError):
-        unit_count(-12)  # not fundamental
+        unit_count(-12, sieve_1m)  # not fundamental
     with pytest.raises(ValueError):
-        unit_count(5)
+        unit_count(5, sieve_1m)
+
+
+def _squarefree_kernel(n):
+    # trial division, no sieve: (s, ell) with n = s ell^2 and s squarefree
+    s, ell = 1, 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            if e % 2:
+                s *= d
+            ell *= d ** (e // 2)
+        d += 1
+    return s * n, ell
+
+
+def _is_fundamental_reference(d):
+    if d == 0 or d % 4 not in (0, 1):
+        return False
+    m = d if d % 4 == 1 else d // 4
+    if d % 4 == 0 and m % 4 not in (2, 3):
+        return False
+    return _squarefree_kernel(abs(m))[0] == abs(m)
+
+
+def test_is_fundamental_matches_trial_division(sieve_1m):
+    for d in range(-(10**4), 10**4 + 1):
+        assert is_fundamental(d, sieve_1m) == _is_fundamental_reference(d), d
 
 
 def test_decompose_examples(sieve_1m):
@@ -159,7 +190,7 @@ def test_decompose_reconstruction(sieve_1m):
             continue
         f = decompose_discriminant(D, sieve_1m)
         assert f.d * f.ell**2 == D
-        assert f.d == 1 or is_fundamental(f.d)
+        assert f.d == 1 or is_fundamental(f.d, sieve_1m)
 
 
 def test_discriminant_table_matches_decompose(sieve_1m):
@@ -307,6 +338,9 @@ def test_l1_psi_bar_values(sieve_1m):
     assert abs(L1_psi_bar(0, sieve_1m) - ZETA2) < 5e-7  # prime-tail limited
     assert L1_psi_bar(1, sieve_1m) == c
     assert abs(L1_psi_bar(2, sieve_1m) - 2 * c) < 1e-15
+    assert L1_psi_bar(-15, sieve_1m) == L1_psi_bar(15, sieve_1m)
+    with pytest.raises(ValueError):
+        L1_psi_bar(10**6 + 1, sieve_1m)
 
 
 def test_cache_roundtrip(tmp_path, class_table_20k):

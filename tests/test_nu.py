@@ -1,17 +1,17 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from murmurations.arith import default_euler_constant
+from murmurations.arith import build_factor_sieve, default_euler_constant
 from murmurations.nu import (
     Interval,
     _squarefree_table,
     evaluate_nu,
-    multiplicative_f_array,
     nu_fourier,
     nu_rational,
     prop_circle_check,
@@ -136,6 +136,19 @@ def test_squarefree_table_vs_factorization(sieve_1m):
     assert pairs == want
 
 
+def test_caches_hold_no_sieve(window):
+    # the nu caches are keyed on sizes; one keyed on the caller's sieve would
+    # keep every sieve a caller builds alive
+    sieve = build_factor_sieve(4000)
+    before = sys.getrefcount(sieve)
+    E = Interval(Fraction(1, 4), Fraction(4))
+    nu_rational(E, 1500, sieve)
+    s_alpha_jump(Fraction(1, 3), 1500, sieve)
+    evaluate_nu(E, 1500, 1500, sieve)
+    prop_circle_check(1, 3, 0.0, 20.0, window, sieve)
+    assert sys.getrefcount(sieve) == before
+
+
 def test_nu_rational_near_one(sieve_1m):
     # [0.9, 1.1] is dominated by the a = q = 1 atom of mass 1/zeta(2)
     val = nu_rational(Interval(Fraction(9, 10), Fraction(11, 10)), 1000, sieve_1m).value
@@ -220,9 +233,10 @@ def test_evaluation_invariants(sieve_1m):
 
 
 def test_f_array_matches_factorized_values(sieve_1m):
-    f = multiplicative_f_array(sieve_1m, 5000)
+    f = sieve_1m.multiplicative_tables(5000)[2]
     for t in (1, 2, 6, 12, 30, 4999):
-        assert abs(f[t] - sieve_1m.f_multiplicative(t)) < 1e-12
+        want = math.prod(1.0 + 1.0 / (p * p - p - 1) for p, _ in sieve_1m.factorize(t))
+        assert abs(f[t] - want) < 1e-12
 
 
 def test_product_identity_bridge(sieve_1m):
@@ -238,7 +252,7 @@ def test_product_identity_bridge(sieve_1m):
             math.log1p(-1.0 / (q * q - q)) for q, _ in sieve_1m.factorize(t)
         )
         lhs = math.exp(log_all - drop)
-        ft = sieve_1m.f_multiplicative(t)
+        ft = math.prod(1.0 + 1.0 / (q * q - q - 1) for q, _ in sieve_1m.factorize(t))
         assert abs(lhs - c * ft / math.exp(log_zeta2_partial)) < 1e-10
         assert abs(lhs - c * ft / ZETA2) < 5e-7
 

@@ -56,10 +56,14 @@ def test_eta24_ramanujan_congruence():
 
 
 def test_eisenstein_values():
-    e4 = eisenstein(4, 5)
-    assert e4[0] == 1 and e4[1] == 240 and e4[2] == 240 * sigma_power(2, 3)
-    e6 = eisenstein(6, 5)
+    e4 = eisenstein(4, 601)
+    e6 = eisenstein(6, 601)
+    assert e4.prec == e6.prec == 602
+    assert e4[0] == e6[0] == 1
     assert e6[2] == -504 * 33 == -16632
+    for n in range(1, 602):
+        assert e4[n] == 240 * sigma_power(n, 3), n
+        assert e6[n] == -504 * sigma_power(n, 5), n
     with pytest.raises(ValueError):
         eisenstein(8, 5)
 

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from murmurations.murmur import dimension_S_k
 from murmurations.qexp import oracle_trace
 from murmurations.trace import (
-    EllipticAngle,
     TableBoundError,
     _lucas_u,
     eigenvalue_sum_prime,
@@ -162,11 +161,3 @@ def test_elliptic_sums_vs_direct_cosine_sum(sieve_1m):
         direct = math.fsum(math.cos((k - 1) * phi) for k in ks)
         got = elliptic_sums([p], k_min, m, l1)[0] / 2.0
         assert abs(got - direct) <= 1e-9, t
-
-
-def test_elliptic_angle():
-    ang = EllipticAngle.of(3, 7)
-    assert abs(math.sin(ang.phi) - 3 / (2 * math.sqrt(7))) < 1e-12
-    assert -math.pi / 2 < ang.phi < math.pi / 2
-    with pytest.raises(ValueError):
-        EllipticAngle.of(6, 9)
