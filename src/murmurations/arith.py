@@ -27,16 +27,24 @@ class FactorSieve:
     """Smallest-prime-factor table for 2..bound.
 
     ``spf[n]`` is the least prime dividing n, so any n <= bound factors by
-    repeated division.  Immutable after construction; safe to share between
-    threads.
+    repeated division.  The sieve itself never changes after construction.
+
+    The multiplicative tables and ``f_zero`` are kept on first use and handed
+    out as read-only views.  The largest table requested lives as long as the
+    sieve: 17 bytes per entry, so about 17 MB after ``L1_psi_bar(10**6)``.
+    Safe to share between threads: two threads racing for a table may both
+    walk, but each publishes only a finished table, so neither sees a
+    partial one.
     """
 
-    __slots__ = ("bound", "spf", "primes")
+    __slots__ = ("bound", "spf", "primes", "_tables", "_f_zero")
 
     def __init__(self, bound: int, spf: np.ndarray, primes: np.ndarray):
         self.bound = bound
         self.spf = spf
         self.primes = primes
+        self._tables = None
+        self._f_zero = None
 
     def is_prime(self, n: int) -> bool:
         if not 2 <= n <= self.bound:
@@ -84,15 +92,31 @@ class FactorSieve:
 
     def multiplicative_tables(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """mu(q), the atom coefficient mu(q)^2/(phi(q)^2 sigma(q)) and
-        f(q) = prod_{p | q} (1 + 1/(p^2-p-1)) for q = 0..n, each 0 at q = 0.
+        f(q) = prod_{p | q} (1 + 1/(p^2-p-1)) for q = 0..n, each 0 at q = 0,
+        as read-only views.
+
+        The tables of the largest n walked so far are kept, and any smaller n
+        is served as their prefix: each q's entries depend on q alone, so the
+        prefix is bitwise the shorter walk.  A larger n walks again, after
+        the old tables are dropped.
+        """
+        if not 1 <= n <= self.bound:
+            raise ValueError(f"{n} outside sieve range [1, {self.bound}]")
+        tables = self._tables
+        if tables is None or tables[0].size <= n:
+            # drop the old tables first, so the old and new never coexist here
+            tables = self._tables = None
+            tables = self._tables = self._walk(n)
+        return tuple(table[: n + 1] for table in tables)
+
+    def _walk(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The multiplicative tables for q = 0..n, read-only.
 
         Every q >= 2 walks down its smallest-prime-factor chain at once, one
         prime per pass, so the primes of q arrive in ascending order: a prime
         equal to the previous one zeroes mu, a new one flips mu and multiplies
         the denominator phi^2 sigma by (p-1)^2 (p+1) and f by its factor.
         """
-        if not 1 <= n <= self.bound:
-            raise ValueError(f"{n} outside sieve range [1, {self.bound}]")
         mu = np.ones(n + 1, dtype=np.int8)
         den = np.ones(n + 1)
         f = np.ones(n + 1)
@@ -113,14 +137,19 @@ class FactorSieve:
             q, rest, prev = q[live], rest[live], p[live]
         mu[0] = 0
         f[0] = 0.0
-        return mu, np.where(mu != 0, 1.0 / den, 0.0), f
+        tables = (mu, np.where(mu != 0, 1.0 / den, 0.0), f)
+        for table in tables:
+            table.flags.writeable = False
+        return tables
 
     def f_zero(self) -> float:
         """f at t = 0: the product of (1 + 1/(p^2-p-1)) over every sieve prime
-        (the limit of divisibility by all primes); see ``f_zero_tail_bound``
-        for the size of the omitted tail."""
-        p = self.primes.astype(np.float64)
-        return math.exp(math.fsum(np.log1p(1.0 / (p * p - p - 1.0))))
+        (the limit of divisibility by all primes), kept after the first call;
+        see ``f_zero_tail_bound`` for the size of the omitted tail."""
+        if self._f_zero is None:
+            p = self.primes.astype(np.float64)
+            self._f_zero = math.exp(math.fsum(np.log1p(1.0 / (p * p - p - 1.0))))
+        return self._f_zero
 
     def f_zero_tail_bound(self) -> float:
         """Upper bound for the relative tail omitted by f_zero().

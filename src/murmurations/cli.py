@@ -183,13 +183,27 @@ def cmd_murmur(args) -> int:
     return EXIT_OK
 
 
+def _parse_grid(text: str) -> np.ndarray:
+    """The points of a --grid start:end:count argument."""
+    usage = f"--grid must look like 'start:end:count', got {text!r}"
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(usage)
+    try:
+        start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValueError(usage) from None
+    if count < 1:
+        raise ValueError(f"--grid count must be positive, got {count}")
+    return np.linspace(start, end, count)
+
+
 def cmd_nu(args) -> int:
+    grid = _parse_grid(args.grid) if args.grid else None
     sieve = build_factor_sieve(max(args.qmax, args.tmax or 1, 16))
     rows = []
-    if args.grid:
-        start, end, count = args.grid.split(":")
-        ts = np.linspace(float(start), float(end), int(count))
-        for t in ts:
+    if grid is not None:
+        for t in grid:
             if t <= 0:
                 rows.append((t, 0.0, ""))
                 continue

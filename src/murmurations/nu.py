@@ -372,7 +372,7 @@ def nu_fourier(
     if t_max == 0:
         return NuPart(value=base, tail_bound=math.inf)
     coeff = default_euler_constant() / ZETA2 * sieve.multiplicative_tables(t_max)[2][1:]
-    taper = _taper_window().value_many(np.arange(1, t_max + 1) / float(t_max))
+    taper = _taper(t_max)
     integrals = _oscillatory_integrals(E, t_max, w)
     value = base + float(np.dot(coeff * taper, integrals))
     tail = 4.0 * v ** ((w - 1) / 2.0) * (1.0 + math.log(t_max)) / t_max
@@ -381,8 +381,11 @@ def nu_fourier(
 
 
 @lru_cache(maxsize=1)
-def _taper_window() -> WindowFunction:
-    return make_window()
+def _taper(t_max: int) -> np.ndarray:
+    """The Fourier taper W(t/t_max) for t = 1..t_max, read-only (cached)."""
+    taper = make_window().value_many(np.arange(1, t_max + 1) / float(t_max))
+    taper.flags.writeable = False
+    return taper
 
 
 def evaluate_nu(
@@ -509,6 +512,8 @@ def prop_circle_check(
     if x < 1:
         raise ValueError("x must be at least 1")
     t_max = int(t_mult * x)
+    if t_max < 1:
+        raise ValueError(f"t_mult * x must be at least 1, got t_mult = {t_mult:g}, x = {x:g}")
     _, coeff, f = sieve.multiplicative_tables(max(t_max, q))
     c = default_euler_constant()
     t = np.arange(1, t_max + 1, dtype=np.int64)

@@ -205,6 +205,21 @@ def test_multiplicative_tables_match_factorize(sieve_1m):
         tiny.multiplicative_tables(3)
 
 
+def test_multiplicative_tables_memo():
+    # one sieve serves growing and shrinking requests from its kept tables;
+    # each answer is bitwise the walk a fresh sieve makes for that n alone
+    sieve = build_factor_sieve(20000)
+    for n in (97, 10**4, 5000, 2 * 10**4):
+        got = sieve.multiplicative_tables(n)
+        want = build_factor_sieve(20000).multiplicative_tables(n)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], n
+        for a in got:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[1] = 0
+    assert sieve.f_zero() is sieve.f_zero()
+
+
 def test_f_zero_euler_identity(sieve_1m):
     # with matching prime truncations, C * f(0) collapses to the partial
     # Euler product of zeta(2) exactly

@@ -214,10 +214,18 @@ def test_io_error_paths(tmp_path):
           "--out", "{tmp}/x.csv"], 3, "bytes of physical memory"),
         (["sieve", "--dmax", "1000000000000", "--out", "{tmp}/x.bin"], 3,
          "bytes of physical memory"),
+        (["propcircle", "--a", "1", "--q", "1", "--x", "10", "--tmult", "0"], 1,
+         "t_mult * x must be at least 1"),
+        (["propcircle", "--a", "1", "--q", "1", "--x", "10", "--tmult", "-1"], 1,
+         "t_mult * x must be at least 1"),
+        (["nu", "--grid", "0:2:0"], 1, "--grid count must be positive"),
+        (["nu", "--grid", "1:2"], 1, "--grid must look like 'start:end:count'"),
     ],
     ids=[
         "murmur-unbounded-E", "nu-unbounded-E", "trace-unwritable-out",
         "trace-verify-mismatch", "murmur-beyond-memory", "sieve-beyond-memory",
+        "propcircle-zero-tmult", "propcircle-negative-tmult", "nu-grid-zero-count",
+        "nu-grid-malformed",
     ],
 )
 def test_failure_exit_codes(argv, code, message, tmp_path, capsys, monkeypatch):

@@ -145,6 +145,8 @@ def test_caches_hold_no_sieve(window):
     nu_rational(E, 1500, sieve)
     s_alpha_jump(Fraction(1, 3), 1500, sieve)
     evaluate_nu(E, 1500, 1500, sieve)
+    evaluate_nu(E, 1500, 800, sieve)
+    s_alpha_fourier(Fraction(1, 3), 1500, sieve)
     prop_circle_check(1, 3, 0.0, 20.0, window, sieve)
     assert sys.getrefcount(sieve) == before
 
