@@ -29,22 +29,21 @@ class FactorSieve:
     ``spf[n]`` is the least prime dividing n, so any n <= bound factors by
     repeated division.  The sieve itself never changes after construction.
 
-    The multiplicative tables and ``f_zero`` are kept on first use and handed
-    out as read-only views.  The largest table requested lives as long as the
+    The multiplicative tables are kept on first use and handed out as
+    read-only views.  The largest table requested lives as long as the
     sieve: 17 bytes per entry, so about 17 MB after ``L1_psi_bar(10**6)``.
     Safe to share between threads: two threads racing for a table may both
     walk, but each publishes only a finished table, so neither sees a
     partial one.
     """
 
-    __slots__ = ("bound", "spf", "primes", "_tables", "_f_zero")
+    __slots__ = ("bound", "spf", "primes", "_tables")
 
     def __init__(self, bound: int, spf: np.ndarray, primes: np.ndarray):
         self.bound = bound
         self.spf = spf
         self.primes = primes
         self._tables = None
-        self._f_zero = None
 
     def is_prime(self, n: int) -> bool:
         if not 2 <= n <= self.bound:
@@ -144,12 +143,10 @@ class FactorSieve:
 
     def f_zero(self) -> float:
         """f at t = 0: the product of (1 + 1/(p^2-p-1)) over every sieve prime
-        (the limit of divisibility by all primes), kept after the first call;
-        see ``f_zero_tail_bound`` for the size of the omitted tail."""
-        if self._f_zero is None:
-            p = self.primes.astype(np.float64)
-            self._f_zero = math.exp(math.fsum(np.log1p(1.0 / (p * p - p - 1.0))))
-        return self._f_zero
+        (the limit of divisibility by all primes); see ``f_zero_tail_bound``
+        for the size of the omitted tail."""
+        p = self.primes.astype(np.float64)
+        return math.exp(math.fsum(np.log1p(1.0 / (p * p - p - 1.0))))
 
     def f_zero_tail_bound(self) -> float:
         """Upper bound for the relative tail omitted by f_zero().

@@ -200,44 +200,16 @@ def cumulative_curve(series: MurmurationSeries, grid) -> list[tuple[float, float
     return out
 
 
-def _a_end(y: Fraction | float, first: bool) -> int:
-    """An end of the range of a >= 1 with a^-2 in E, set by the endpoint y:
-    the least a with a^-2 <= y (``first``, y the upper endpoint), else the
-    greatest a with a^-2 >= y > 0 (0 if none).  An exact y is handled in
-    integers; a float y is compared as ``Interval.locate`` compares it, by
-    float(1/a^2) strictly on the inner side of y."""
-    if isinstance(y, Fraction):
-        n, d = y.numerator, y.denominator
-        return math.isqrt(-(-d // n) - 1) + 1 if first else math.isqrt(d // n)
-
-    def past(a: int) -> bool:
-        # false below the sought switch point, true from it on
-        v = float(Fraction(1, a * a))
-        return v < y if first else v <= y
-
-    a = max(1, int(y**-0.5))
-    while a > 1 and past(a - 1):
-        a -= 1
-    while not past(a):
-        a += 1
-    return a if first else a - 1
-
-
 def integer_murmuration_nu(E: Interval, a_max: int) -> float:
-    """Integer-summation analogue of the limit measure: sum over 1 <= a <= a_max
-    with a^-2 in E of a^-3, halving terms that sit exactly on an exact endpoint.
-
-    The a with a^-2 in E form one range; its terms are added in ascending a,
-    one after another, so the sum is bitwise the term-by-term loop's."""
+    """Integer-summation analogue of the limit measure: sum over a >= 1 with
+    a^-2 in E of a^-3, halving terms that sit exactly on an exact endpoint."""
     if a_max < 1:
         raise ValueError("a_max must be positive")
-    first = _a_end(E.hi, first=True)
-    last = a_max if float(E.lo) == 0 else min(_a_end(E.lo, first=False), a_max)
-    if first > last:
-        return 0.0
-    terms = np.arange(first, last + 1, dtype=np.float64) ** -3.0
-    for i in {0, terms.size - 1}:
-        a = first + i
-        if E.locate(Fraction(1, a * a)) in ("lo", "hi"):
-            terms[i] *= 0.5
-    return float(np.add.accumulate(terms, out=terms)[-1])
+    total = 0.0
+    for a in range(1, a_max + 1):
+        pos = E.locate(Fraction(1, a * a))
+        if pos == "in":
+            total += a**-3.0
+        elif pos in ("lo", "hi"):
+            total += 0.5 * a**-3.0
+    return total

@@ -217,7 +217,7 @@ def test_multiplicative_tables_memo():
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[1] = 0
-    assert sieve.f_zero() is sieve.f_zero()
+    assert sieve.f_zero() == sieve.f_zero()
 
 
 def test_f_zero_euler_identity(sieve_1m):

@@ -170,35 +170,6 @@ def test_integer_murmuration_nu_examples():
         integer_murmuration_nu(Interval(Fraction(1, 4), Fraction(4)), 0)
 
 
-def _integer_nu_loop(E, a_max):
-    # the term-by-term reference: every a <= a_max located one at a time
-    total = 0.0
-    for a in range(1, a_max + 1):
-        pos = E.locate(Fraction(1, a * a))
-        if pos == "in":
-            total += a**-3.0
-        elif pos in ("lo", "hi"):
-            total += 0.5 * a**-3.0
-    return total
-
-
-@pytest.mark.parametrize(
-    "E",
-    [
-        Interval(Fraction(1, 9), Fraction(1, 4)),
-        Interval(Fraction(1, 4), Fraction(4)),
-        Interval(Fraction(0), Fraction(1, 100)),
-        # at a float endpoint the atom a = 2 is compared in floats: out
-        Interval(0.25, Fraction(4)),
-        Interval(Fraction(1, 9), 0.25),
-    ],
-)
-@pytest.mark.parametrize("a_max", [1, 3, 10**4])
-def test_integer_murmuration_nu_matches_loop(E, a_max):
-    want = _integer_nu_loop(E, a_max)
-    assert abs(integer_murmuration_nu(E, a_max) - want) <= 1e-15 * abs(want)
-
-
 def test_integer_domain_approaches_integer_nu(ctx_small):
     # Remark-9 shape: the integer statistic drifts toward the a^-3 atom sum
     E = Interval(Fraction(1, 4), Fraction(4))
