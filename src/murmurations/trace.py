@@ -119,11 +119,6 @@ def trace_hecke(ctx: TraceContext, k: int, n: int) -> int:
     return twelfths // 12
 
 
-# (n, t) terms per block of elliptic_sums: keeps each temporary at 128 KiB;
-# blocks hold whole n, so the result does not depend on the size
-_BLOCK_TERMS = 1 << 14
-
-
 def _dirichlet_kernel(phi, sin2phi, k_min: int, m: int):
     """sum_{j<m} cos((k_min - 1 + 4j) phi) in the closed form
     sin(2 m phi) / sin(2 phi) * cos((k_min - 1 + 2(m - 1)) phi), given
@@ -131,40 +126,80 @@ def _dirichlet_kernel(phi, sin2phi, k_min: int, m: int):
     return np.sin(2 * m * phi) / sin2phi * np.cos((k_min - 1 + 2 * (m - 1)) * phi)
 
 
+# summation points per pass of elliptic_sums: the six complex buffers of a
+# pass (96 bytes a point) then fit in a 2 MiB L2 cache.  On a 2-vCPU Xeon at
+# K = 10^4 (97 634 primes), one pass took 9.6-10.0 s per class and passes of
+# at most 16 384 points 5.5-6.2 s; each n is summed alone, so the result
+# does not depend on the size
+_PASS_POINTS = 1 << 14
+
+
 def elliptic_sums(ns, k_min: int, m: int, l1: np.ndarray) -> np.ndarray:
     """For each n: sum over t^2 < 4n of L(1, psi_{t^2-4n}) times the cosine
     sum of cos((k-1) phi_{t,n}) over the m weights k = k_min + 4j.
 
-    The t = 0 term is m L(1, psi_{-4n}) exactly; the t and -t terms are
-    equal.  Every (n, t >= 1) pair of a block is flattened into one array and
-    summed per n with ``np.add.reduceat``.  For t >= 1, sin(2 phi) >=
-    1/sqrt(n) stays away from 0.
+    ns must be ascending.  The t = 0 term is m L(1, psi_{-4n}) exactly; the
+    t and -t terms are equal.  The loop runs over t >= 1, where the n with
+    4n > t^2 are a suffix of ns.  The angle enters only through
+    z = e^(i phi) = (sqrt(4n - t^2) + i t) / (2 sqrt n), built from integers,
+    so the weight sum sin(2 m phi) / sin(2 phi) * cos(c phi),
+    c = k_min - 1 + 2(m - 1), is Im(z^(2m)) Re(z^c) / (2 Re z Im z), with
+    both powers from one run of complex squarings and no trigonometric call.
+    For t >= 1, sin(2 phi) >= 1/sqrt(n) stays away from 0.
+
+    Each n adds its t terms in order of t, by the same operations on its own
+    values, so its result is bitwise the same whatever else is in ns: the
+    result on a range is the concatenation of the results on its pieces.
+    At K = 3850, H = 100 (the figure scale) the result is within 2e-9
+    absolute of the sum with phi = atan2(t, sqrt(4n - t^2)) and each weight
+    sum by ``math.fsum`` (tests/test_trace.py).
     """
     ns = np.asarray(ns, dtype=np.int64)
-    out = m * l1[4 * ns]
     if ns.size == 0:
-        return out
-    if ns.min() < 1:
+        return np.zeros(0)
+    if np.any(ns[1:] < ns[:-1]):
+        raise ValueError("ns must be ascending")
+    if ns[0] < 1:
         raise ValueError("n must be positive")
-    # isqrt(4n - 1): the rounded root of an integer below 2^51 never
-    # reaches the next integer, and 4n indexes l1, so it is far below that
-    t_max = np.floor(np.sqrt(4.0 * ns - 1.0)).astype(np.int64)
-    ends = np.cumsum(t_max)
-    lo = 0
-    while lo < ns.size:
-        start = ends[lo] - t_max[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, start + _BLOCK_TERMS, side="right")))
-        counts = t_max[lo:hi]
-        offsets = ends[lo:hi] - counts - start
-        n = np.repeat(ns[lo:hi], counts)
-        t = np.arange(1, counts.sum() + 1, dtype=np.int64) - np.repeat(offsets, counts)
-        disc = 4 * n - t * t
-        phi = np.arcsin(t / (2.0 * np.sqrt(n)))
-        # sin(2 phi) = t sqrt(4n - t^2) / 2n, exact inputs near phi = pi/2
-        sin2phi = t * np.sqrt(disc) / (2.0 * n)
-        terms = _dirichlet_kernel(phi, sin2phi, k_min, m) * l1[disc]
-        out[lo:hi] += 2.0 * np.add.reduceat(terms, offsets)
-        lo = hi
+    passes = np.array_split(ns, -(-ns.size // _PASS_POINTS))
+    return np.concatenate([_elliptic_pass(part, k_min, m, l1) for part in passes])
+
+
+def _elliptic_pass(ns, k_min: int, m: int, l1: np.ndarray) -> np.ndarray:
+    """elliptic_sums on a nonempty ascending run of positive ns."""
+    ns4 = 4 * ns
+    out = m * l1[ns4]
+    exps = (2 * m, k_min - 1 + 2 * (m - 1))
+    inv_2rn = 0.5 / np.sqrt(ns)
+    bufs = np.empty((6, ns.size), dtype=np.complex128)
+    for t in range(1, math.isqrt(int(ns4[-1]) - 1) + 1):
+        j = int(np.searchsorted(ns, t * t // 4, side="right"))
+        disc = ns4[j:] - t * t
+        re = np.sqrt(disc) * inv_2rn[j:]
+        im = t * inv_2rn[j:]
+        # no product is written over one of its inputs: numpy's complex
+        # multiply rounds differently when it is, on length-1 arrays
+        free = list(bufs[:, j:])
+        z = free.pop()
+        z.real = re
+        z.imag = im
+        powers = [None, None]
+        for i in range(max(exps).bit_length()):
+            if i:
+                square = free.pop()
+                np.multiply(z, z, out=square)
+                free.append(z)
+                z = square
+            for a, e in enumerate(exps):
+                if e >> i & 1:
+                    product = free.pop()
+                    if powers[a] is None:
+                        np.copyto(product, z)
+                    else:
+                        np.multiply(powers[a], z, out=product)
+                        free.append(powers[a])
+                    powers[a] = product
+        out[j:] += powers[0].imag * powers[1].real / (re * im) * l1[disc]
     return out
 
 

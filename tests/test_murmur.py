@@ -13,6 +13,7 @@ from murmurations.murmur import (
     integer_murmuration_nu,
 )
 from murmurations import trace
+from murmurations.arith import analytic_conductor
 from murmurations.nu import Interval
 from murmurations.qexp import oracle_trace
 from murmurations.trace import TableBoundError, progression_weights, trace_hecke
@@ -119,15 +120,27 @@ def test_scale_covariance(smoke_context):
         assert t1 == t2 and abs(r1 - r2) < 1e-13 * max(1.0, abs(r1))
 
 
-def test_block_size_invariance(smoke_context, monkeypatch):
-    req = MurmurationRequest(delta=0, K=600.0, H=60.0, E=Interval(Fraction(0), Fraction(2)))
-    whole = compute_series(req, smoke_context)
-    # blocks of two to a few points instead of about 160
-    monkeypatch.setattr(trace, "_BLOCK_TERMS", 300)
-    small = compute_series(req, smoke_context)
-    assert np.array_equal(whole.numerator, small.numerator)
-    assert np.array_equal(whole.denominator, small.denominator)
-    assert np.array_equal(whole.cumulative, small.cumulative)
+def test_split_invariance(smoke_context, monkeypatch):
+    # each n's elliptic sum is the same sequence of operations on its own
+    # values, so pieces, subsets, single n and short passes reproduce the
+    # whole bitwise
+    l1 = smoke_context.l1_array()
+    primes = smoke_context.sieve.primes
+    ns = primes[primes <= 2 * analytic_conductor(600).N]
+    rng = np.random.default_rng(8)
+    for delta in (0, 1):
+        k_min, m = progression_weights(600.0, 60.0, delta)
+        whole = trace.elliptic_sums(ns, k_min, m, l1)
+        cuts = [0, 1, 2, 3, 97, 98, 311, ns.size - 1, ns.size]
+        pieces = [trace.elliptic_sums(ns[a:b], k_min, m, l1) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(pieces), whole)
+        subset = np.sort(rng.choice(ns.size, size=ns.size // 3, replace=False))
+        assert np.array_equal(trace.elliptic_sums(ns[subset], k_min, m, l1), whole[subset])
+        for i in [*range(0, ns.size, 10), ns.size - 1]:
+            assert np.array_equal(trace.elliptic_sums(ns[i : i + 1], k_min, m, l1), whole[i : i + 1])
+        with monkeypatch.context() as patch:
+            patch.setattr(trace, "_PASS_POINTS", 7)
+            assert np.array_equal(trace.elliptic_sums(ns, k_min, m, l1), whole)
 
 
 def test_sqrt_p_weighting(smoke_context):

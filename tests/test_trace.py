@@ -147,6 +147,37 @@ def test_progression_cosine_sum_vs_direct():
         assert abs(progression_cosine_sum(3850.0, 100.0, 0, phi) - direct) < 1e-10
 
 
+def _elliptic_sum_reference(n, k_min, m, l1):
+    """elliptic_sums at one n, term by term: phi = atan2(t, sqrt(4n - t^2)) is
+    well conditioned at every t, and every sum is a ``math.fsum``."""
+    ks = [k_min + 4 * j for j in range(m)]
+    terms = [m * l1[4 * n]]
+    for t in range(1, math.isqrt(4 * n - 1) + 1):
+        phi = math.atan2(t, math.sqrt(4 * n - t * t))
+        terms.append(2.0 * math.fsum(math.cos((k - 1) * phi) for k in ks) * l1[4 * n - t * t])
+    return math.fsum(terms)
+
+
+def test_elliptic_sums_error_bound(desk_context):
+    # the n of the figure run where an arcsin angle loses most (about 1e-8)
+    ns = [92419, 122503, 178931]
+    l1 = desk_context.l1_array()
+    for delta in (0, 1):
+        k_min, m = progression_weights(3850.0, 100.0, delta)
+        got = elliptic_sums(ns, k_min, m, l1)
+        for n, value in zip(ns, got):
+            assert abs(value - _elliptic_sum_reference(n, k_min, m, l1)) <= 2e-9, (delta, n)
+
+
+def test_elliptic_sums_input_contract():
+    l1 = np.ones(41)
+    with pytest.raises(ValueError, match="positive"):
+        elliptic_sums([0, 3], 12, 2, l1)
+    with pytest.raises(ValueError, match="ascending"):
+        elliptic_sums([5, 3], 12, 2, l1)
+    assert elliptic_sums([], 12, 2, l1).shape == (0,)
+
+
 def test_elliptic_sums_vs_direct_cosine_sum(sieve_1m):
     # p = 187 631, the largest prime of the K = 3850 figure; one unit L(1)
     # value isolates the (p, t) term, which enters for t and -t
@@ -157,7 +188,7 @@ def test_elliptic_sums_vs_direct_cosine_sum(sieve_1m):
     for t in (1, math.isqrt(4 * p - 1)):
         l1 = np.zeros(4 * p + 1)
         l1[4 * p - t * t] = 1.0
-        phi = float(np.arcsin(t / (2.0 * math.sqrt(p))))
+        phi = math.atan2(t, math.sqrt(4 * p - t * t))
         direct = math.fsum(math.cos((k - 1) * phi) for k in ks)
         got = elliptic_sums([p], k_min, m, l1)[0] / 2.0
         assert abs(got - direct) <= 1e-9, t
