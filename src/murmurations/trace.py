@@ -36,17 +36,24 @@ class TableBoundError(ValueError):
 
 @dataclass
 class TraceContext:
-    """Shared immutable state for trace evaluations.
+    """Shared state for trace evaluations.
 
     ``h6[n]`` holds 6 H(n), the Hurwitz class numbers of every n <= bound,
     built on construction; the elliptic-term Dirichlet values L(1, psi_D)
-    are materialized lazily from it as one float array.  Queries are pure.
+    are materialized lazily from it as one float array.  ``elliptic_rows``
+    keeps, for the life of the context, the read-only elliptic sums of both
+    root-number classes that ``murmur.compute_series`` computed for each
+    (K, H, E, summand domain), one float per summation point and class, so
+    the second class and the other weightings of a run read them instead
+    of running the kernel again.  Queries are pure: a stored row is what a
+    fresh context computes.
     """
 
     table: ClassNumberTable
     sieve: FactorSieve
     h6: np.ndarray = field(init=False, repr=False)
     _l1: np.ndarray | None = field(default=None, init=False, repr=False)
+    elliptic_rows: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.h6 = hurwitz6(self.table)
@@ -126,17 +133,19 @@ def _dirichlet_kernel(phi, sin2phi, k_min: int, m: int):
     return np.sin(2 * m * phi) / sin2phi * np.cos((k_min - 1 + 2 * (m - 1)) * phi)
 
 
-# summation points per pass of elliptic_sums: the six complex buffers of a
-# pass (96 bytes a point) then fit in a 2 MiB L2 cache.  On a 2-vCPU Xeon at
-# K = 10^4 (97 634 primes), one pass took 9.6-10.0 s per class and passes of
-# at most 16 384 points 5.5-6.2 s; each n is summed alone, so the result
-# does not depend on the size
+# summation points per pass of elliptic_sums: with two weight windows the
+# ladder holds at most six complex buffers (96 bytes a point: z, its square
+# and the powers of up to four distinct exponents), which then fit in a
+# 2 MiB L2 cache.  On a 2-vCPU Xeon at K = 10^4 (97 634 primes), one pass
+# took 9.6-10.0 s per class and passes of at most 16 384 points 5.5-6.2 s;
+# each n is summed alone, so the result does not depend on the size
 _PASS_POINTS = 1 << 14
 
 
-def elliptic_sums(ns, k_min: int, m: int, l1: np.ndarray) -> np.ndarray:
-    """For each n: sum over t^2 < 4n of L(1, psi_{t^2-4n}) times the cosine
-    sum of cos((k-1) phi_{t,n}) over the m weights k = k_min + 4j.
+def elliptic_sums(ns, windows, l1: np.ndarray) -> np.ndarray:
+    """For each weight window (k_min, m) and each n: sum over t^2 < 4n of
+    L(1, psi_{t^2-4n}) times the cosine sum of cos((k-1) phi_{t,n}) over
+    the m weights k = k_min + 4j.  Returns one row per window.
 
     ns must be ascending.  The t = 0 term is m L(1, psi_{-4n}) exactly; the
     t and -t terms are equal.  The loop runs over t >= 1, where the n with
@@ -144,62 +153,77 @@ def elliptic_sums(ns, k_min: int, m: int, l1: np.ndarray) -> np.ndarray:
     z = e^(i phi) = (sqrt(4n - t^2) + i t) / (2 sqrt n), built from integers,
     so the weight sum sin(2 m phi) / sin(2 phi) * cos(c phi),
     c = k_min - 1 + 2(m - 1), is Im(z^(2m)) Re(z^c) / (2 Re z Im z), with
-    both powers from one run of complex squarings and no trigonometric call.
+    every power from one run of complex squarings and no trigonometric call.
     For t >= 1, sin(2 phi) >= 1/sqrt(n) stays away from 0.
 
-    Each n adds its t terms in order of t, by the same operations on its own
-    values, so its result is bitwise the same whatever else is in ns: the
-    result on a range is the concatenation of the results on its pieces.
-    At K = 3850, H = 100 (the figure scale) the result is within 2e-9
-    absolute of the sum with phi = atan2(t, sqrt(4n - t^2)) and each weight
-    sum by ``math.fsum`` (tests/test_trace.py).
+    All windows share z, the squarings, the L(1) gather and the weight
+    L(1) / (Re z Im z) of each t; a window with m = 0 gives a row of exact
+    zeros and takes no part in the ladder.  Each power is built by the same
+    multiplies whatever other exponents the call needs, and each n adds its
+    t terms in order of t, by the same operations on its own values, so a
+    row is bitwise the same whatever other windows and other n share the
+    call: the result on a range is the concatenation of the results on its
+    pieces.  At K = 3850, H = 100 (the figure scale) each row is within
+    2e-9 absolute of the sum with phi = atan2(t, sqrt(4n - t^2)) and each
+    weight sum by ``math.fsum`` (tests/test_trace.py).
     """
+    windows = [(int(k_min), int(m)) for k_min, m in windows]
+    if any(m < 0 for _, m in windows):
+        raise ValueError("window sizes must be nonnegative")
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size == 0:
-        return np.zeros(0)
+        return np.zeros((len(windows), 0))
     if np.any(ns[1:] < ns[:-1]):
         raise ValueError("ns must be ascending")
     if ns[0] < 1:
         raise ValueError("n must be positive")
     passes = np.array_split(ns, -(-ns.size // _PASS_POINTS))
-    return np.concatenate([_elliptic_pass(part, k_min, m, l1) for part in passes])
+    return np.concatenate([_elliptic_pass(part, windows, l1) for part in passes], axis=1)
 
 
-def _elliptic_pass(ns, k_min: int, m: int, l1: np.ndarray) -> np.ndarray:
+def _elliptic_pass(ns, windows, l1: np.ndarray) -> np.ndarray:
     """elliptic_sums on a nonempty ascending run of positive ns."""
     ns4 = 4 * ns
-    out = m * l1[ns4]
-    exps = (2 * m, k_min - 1 + 2 * (m - 1))
+    out = np.zeros((len(windows), ns.size))
+    active = [(row, 2 * m, k_min - 1 + 2 * (m - 1)) for row, (k_min, m) in enumerate(windows) if m]
+    if not active:
+        return out
+    l1_t0 = l1[ns4]
+    for row, _, _ in active:
+        out[row] = windows[row][1] * l1_t0
+    exps = sorted({e for _, a, c in active for e in (a, c)})
     inv_2rn = 0.5 / np.sqrt(ns)
-    bufs = np.empty((6, ns.size), dtype=np.complex128)
+    bufs = np.empty((len(exps) + 2, ns.size), dtype=np.complex128)
     for t in range(1, math.isqrt(int(ns4[-1]) - 1) + 1):
         j = int(np.searchsorted(ns, t * t // 4, side="right"))
         disc = ns4[j:] - t * t
         re = np.sqrt(disc) * inv_2rn[j:]
         im = t * inv_2rn[j:]
+        w = l1[disc] / (re * im)
         # no product is written over one of its inputs: numpy's complex
         # multiply rounds differently when it is, on length-1 arrays
         free = list(bufs[:, j:])
         z = free.pop()
         z.real = re
         z.imag = im
-        powers = [None, None]
-        for i in range(max(exps).bit_length()):
+        powers = {}
+        for i in range(exps[-1].bit_length()):
             if i:
                 square = free.pop()
                 np.multiply(z, z, out=square)
                 free.append(z)
                 z = square
-            for a, e in enumerate(exps):
+            for e in exps:
                 if e >> i & 1:
                     product = free.pop()
-                    if powers[a] is None:
+                    if e not in powers:
                         np.copyto(product, z)
                     else:
-                        np.multiply(powers[a], z, out=product)
-                        free.append(powers[a])
-                    powers[a] = product
-        out[j:] += powers[0].imag * powers[1].real / (re * im) * l1[disc]
+                        np.multiply(powers[e], z, out=product)
+                        free.append(powers[e])
+                    powers[e] = product
+        for row, a, c in active:
+            out[row, j:] += powers[a].imag * powers[c].real * w
     return out
 
 
@@ -214,7 +238,7 @@ def eigenvalue_sum_prime(ctx: TraceContext, k: int, p: int) -> float:
     if not ctx.sieve.is_prime(p):
         raise ValueError(f"{p} is not prime")
     ctx.require(4 * p)
-    inner = float(elliptic_sums([p], k, 1, ctx.l1_array())[0])
+    inner = float(elliptic_sums([p], [(k, 1)], ctx.l1_array())[0, 0])
     sign = 1.0 if k % 4 == 0 else -1.0
     return -math.exp(0.5 * (1 - k) * math.log(p)) + sign * inner / math.pi
 

@@ -12,7 +12,7 @@ from murmurations.murmur import (
     dimension_S_k,
     integer_murmuration_nu,
 )
-from murmurations import trace
+from murmurations import murmur, trace
 from murmurations.arith import analytic_conductor
 from murmurations.nu import Interval
 from murmurations.qexp import oracle_trace
@@ -123,24 +123,73 @@ def test_scale_covariance(smoke_context):
 def test_split_invariance(smoke_context, monkeypatch):
     # each n's elliptic sum is the same sequence of operations on its own
     # values, so pieces, subsets, single n and short passes reproduce the
-    # whole bitwise
+    # whole bitwise, and so does each row of the call with both windows
     l1 = smoke_context.l1_array()
     primes = smoke_context.sieve.primes
     ns = primes[primes <= 2 * analytic_conductor(600).N]
     rng = np.random.default_rng(8)
-    for delta in (0, 1):
-        k_min, m = progression_weights(600.0, 60.0, delta)
-        whole = trace.elliptic_sums(ns, k_min, m, l1)
+    windows = [progression_weights(600.0, 60.0, delta) for delta in (0, 1)]
+    both = trace.elliptic_sums(ns, windows, l1)
+    assert both.shape == (2, ns.size)
+    for delta, window in enumerate(windows):
+        whole = trace.elliptic_sums(ns, [window], l1)[0]
+        assert np.array_equal(both[delta], whole)
         cuts = [0, 1, 2, 3, 97, 98, 311, ns.size - 1, ns.size]
-        pieces = [trace.elliptic_sums(ns[a:b], k_min, m, l1) for a, b in zip(cuts, cuts[1:])]
-        assert np.array_equal(np.concatenate(pieces), whole)
-        subset = np.sort(rng.choice(ns.size, size=ns.size // 3, replace=False))
-        assert np.array_equal(trace.elliptic_sums(ns[subset], k_min, m, l1), whole[subset])
-        for i in [*range(0, ns.size, 10), ns.size - 1]:
-            assert np.array_equal(trace.elliptic_sums(ns[i : i + 1], k_min, m, l1), whole[i : i + 1])
+        for sums in (
+            lambda part: trace.elliptic_sums(part, [window], l1)[0],
+            lambda part: trace.elliptic_sums(part, windows, l1)[delta],
+        ):
+            pieces = [sums(ns[a:b]) for a, b in zip(cuts, cuts[1:])]
+            assert np.array_equal(np.concatenate(pieces), whole)
+            subset = np.sort(rng.choice(ns.size, size=ns.size // 3, replace=False))
+            assert np.array_equal(sums(ns[subset]), whole[subset])
+            for i in [*range(0, ns.size, 10), ns.size - 1]:
+                assert np.array_equal(sums(ns[i : i + 1]), whole[i : i + 1])
+            with monkeypatch.context() as patch:
+                patch.setattr(trace, "_PASS_POINTS", 7)
+                assert np.array_equal(sums(ns), whole)
+
+
+def test_empty_class_raises_beside_a_working_one(smoke_context):
+    # K = 600, H = 1 holds the weight 600 of class 0 and no weight of class 1
+    assert progression_weights(600.0, 1.0, 1) == (602, 0)
+    E = Interval(Fraction(0), Fraction(2))
+    series = compute_series(MurmurationRequest(delta=0, K=600.0, H=1.0, E=E), smoke_context)
+    assert series.n.size > 0 and np.all(np.isfinite(series.numerator))
+    with pytest.raises(ValueError, match="no admissible weights"):
+        compute_series(MurmurationRequest(delta=1, K=600.0, H=1.0, E=E), smoke_context)
+
+
+def test_elliptic_rows_shared_within_a_context(smoke_context, monkeypatch):
+    # one kernel call serves both classes and both weightings of one
+    # (K, H, E, domain); every series is what a fresh context computes
+    E = Interval(Fraction(0), Fraction(2))
+    reqs = [
+        MurmurationRequest(delta=0, K=600.0, H=60.0, E=E),
+        MurmurationRequest(delta=1, K=600.0, H=60.0, E=E),
+        MurmurationRequest(delta=0, K=600.0, H=60.0, E=E, weighting="sqrt_p"),
+    ]
+
+    def fresh():
+        return trace.TraceContext(table=smoke_context.table, sieve=smoke_context.sieve)
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return trace.elliptic_sums(*args)
+
+    alone = [compute_series(req, fresh()) for req in reqs]
+    for order in ([0, 1, 2], [1, 2, 0]):
+        ctx = fresh()
+        calls.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(trace, "_PASS_POINTS", 7)
-            assert np.array_equal(trace.elliptic_sums(ns, k_min, m, l1), whole)
+            patch.setattr(murmur, "elliptic_sums", counted)
+            shared = {i: compute_series(reqs[i], ctx) for i in order}
+        assert len(calls) == 1
+        for i, series in shared.items():
+            for name in ("n", "numerator", "denominator", "cumulative"):
+                assert np.array_equal(getattr(series, name), getattr(alone[i], name)), (i, name)
 
 
 def test_sqrt_p_weighting(smoke_context):

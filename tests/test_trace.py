@@ -162,20 +162,25 @@ def test_elliptic_sums_error_bound(desk_context):
     # the n of the figure run where an arcsin angle loses most (about 1e-8)
     ns = [92419, 122503, 178931]
     l1 = desk_context.l1_array()
-    for delta in (0, 1):
-        k_min, m = progression_weights(3850.0, 100.0, delta)
-        got = elliptic_sums(ns, k_min, m, l1)
-        for n, value in zip(ns, got):
+    windows = [progression_weights(3850.0, 100.0, delta) for delta in (0, 1)]
+    rows = elliptic_sums(ns, windows, l1)
+    for delta, (k_min, m) in enumerate(windows):
+        for n, value in zip(ns, rows[delta]):
             assert abs(value - _elliptic_sum_reference(n, k_min, m, l1)) <= 2e-9, (delta, n)
 
 
 def test_elliptic_sums_input_contract():
     l1 = np.ones(41)
     with pytest.raises(ValueError, match="positive"):
-        elliptic_sums([0, 3], 12, 2, l1)
+        elliptic_sums([0, 3], [(12, 2)], l1)
     with pytest.raises(ValueError, match="ascending"):
-        elliptic_sums([5, 3], 12, 2, l1)
-    assert elliptic_sums([], 12, 2, l1).shape == (0,)
+        elliptic_sums([5, 3], [(12, 2)], l1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        elliptic_sums([3, 5], [(12, -1)], l1)
+    assert elliptic_sums([], [(12, 2), (10, 3)], l1).shape == (2, 0)
+    # an empty window is a row of exact zeros beside the others
+    rows = elliptic_sums([3, 5], [(12, 0), (10, 3)], l1)
+    assert not rows[0].any() and np.array_equal(rows[1], elliptic_sums([3, 5], [(10, 3)], l1)[0])
 
 
 def test_elliptic_sums_vs_direct_cosine_sum(sieve_1m):
@@ -190,5 +195,5 @@ def test_elliptic_sums_vs_direct_cosine_sum(sieve_1m):
         l1[4 * p - t * t] = 1.0
         phi = math.atan2(t, math.sqrt(4 * p - t * t))
         direct = math.fsum(math.cos((k - 1) * phi) for k in ks)
-        got = elliptic_sums([p], k_min, m, l1)[0] / 2.0
+        got = elliptic_sums([p], [(k_min, m)], l1)[0, 0] / 2.0
         assert abs(got - direct) <= 1e-9, t
