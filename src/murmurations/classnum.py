@@ -4,10 +4,12 @@ of the discriminant characters together with L(1, psi_bar_t) = C f(t)."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +34,7 @@ __all__ = [
     "DiscriminantTable",
 ]
 
-CACHE_MAGIC = b"MRMCLS01"
+CACHE_MAGIC = b"MRMCLS02"
 
 
 @dataclass(frozen=True)
@@ -46,14 +48,31 @@ class DiscriminantFactorization:
 
 @dataclass
 class ClassNumberTable:
-    """Primitive form class numbers h(D) for every discriminant -bound <= D < 0.
+    """Reduced-form counts for every discriminant -bound <= D < 0, and the
+    primitive class numbers h(D) derived from them.
 
-    ``h[n]`` holds h(-n) for n = |D| with n % 4 in {0, 3}; other entries are 0.
-    Immutable after the sieve; queries are pure.
+    ``forms[n]`` counts every reduced form of discriminant -n, primitive or
+    not: A(n) = sum over g^2 | n of h(-n / g^2).  ``h[n]`` holds h(-n),
+    recovered from A by Moebius inversion on first read.  Entries at
+    n = 1, 2 mod 4 and at n = 0 are 0 in both.  Immutable after the sieve;
+    queries are pure.
     """
 
     bound: int
-    h: np.ndarray
+    forms: np.ndarray
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """h(-n) for n = 0..bound, read-only int32.  A form g (a', b', c')
+        has discriminant g^2 D', so inverting A over g^2 | n, one prime p at
+        a time, leaves h exactly."""
+        h = self.forms.copy()
+        # in place: numpy buffers the overlapping read, so it sees the old values
+        for p in build_factor_sieve(math.isqrt(self.bound)).primes.tolist():
+            top = self.bound // (p * p)
+            h[p * p : top * p * p + 1 : p * p] -= h[1 : top + 1]
+        h.flags.writeable = False
+        return h
 
     def class_number(self, D: int) -> int:
         if D >= 0 or D % 4 not in (0, 1):
@@ -64,18 +83,17 @@ class ClassNumberTable:
 
 
 def sieve_class_numbers(bound: int) -> ClassNumberTable:
-    """Count reduced primitive forms (a, b, c) per discriminant b^2 - 4ac.
+    """Count every reduced form (a, b, c), primitive or not, per discriminant
+    b^2 - 4ac.
 
     Reduction: |b| <= a <= c with b >= 0 when |b| = a or a = c; forms with
     0 < b < a < c count twice for the +-b pair.  For fixed (a, b) the values
     4ac - b^2, c >= a, run through a progression of step 4a, so one strided
-    slice-add counts every reduced form, primitive or not.  A form g (a', b',
-    c') has discriminant g^2 D', so that count is the sum of h(n / g^2) over
-    g^2 | n, and Moebius inversion, one prime p at a time, leaves h exactly.
+    slice-add per (a, b) fills ``forms``; h is derived from it on demand.
     """
     if bound < 4:
         raise ValueError("bound must be at least 4")
-    h = np.zeros(bound + 1, dtype=np.int32)
+    forms = np.zeros(bound + 1, dtype=np.int32)
     amax = math.isqrt(bound // 3)
     for a in range(1, amax + 1):
         step = 4 * a
@@ -85,32 +103,25 @@ def sieve_class_numbers(bound: int) -> ClassNumberTable:
             if start > bound:
                 continue
             if b == 0 or b == a:
-                h[start::step] += 1
+                forms[start::step] += 1
             else:
-                h[start::step] += 2
-                h[start] -= 1  # c = a: only +b is reduced
-    # in place: numpy buffers the overlapping read, so it sees the old values
-    for p in build_factor_sieve(math.isqrt(bound)).primes.tolist():
-        top = bound // (p * p)
-        h[p * p : top * p * p + 1 : p * p] -= h[1 : top + 1]
-    return ClassNumberTable(bound=bound, h=h)
+                forms[start::step] += 2
+                forms[start] -= 1  # c = a: only +b is reduced
+    return ClassNumberTable(bound=bound, forms=forms)
 
 
 def hurwitz6(table: ClassNumberTable) -> np.ndarray:
     """6 H(n) for n = 0..bound as exact integers, H the Hurwitz class number.
 
     H(n) = sum over f^2 | n of h(-n/f^2) / (w(-n/f^2)/2), the forms of every
-    order containing Z[sqrt(-n)]; w/2 is 3 at -3, 2 at -4 and 1 otherwise,
-    so 6 H is integral.  One strided slice-add per f <= sqrt(bound).  Entries
-    at n = 1, 2 mod 4, and at n = 0, are 0.
+    order containing Z[sqrt(-n)], so 6 H = 6 A except where a form has extra
+    units: f (1, 1, 1) at n = 3 f^2 (w/2 = 3, weight 2 instead of 6) and
+    f (1, 0, 1) at n = 4 f^2 (w/2 = 2, weight 3).  Entries at n = 1, 2 mod 4,
+    and at n = 0, are 0.
     """
-    weighted = 6 * table.h.astype(np.int64)
-    weighted[3] = 2  # h(-3) = 1, w/2 = 3
-    weighted[4] = 3  # h(-4) = 1, w/2 = 2
-    h6 = np.zeros(table.bound + 1, dtype=np.int64)
-    for f in range(1, math.isqrt(table.bound) + 1):
-        top = table.bound // (f * f)
-        h6[: top * f * f + 1 : f * f] += weighted[: top + 1]
+    h6 = 6 * table.forms.astype(np.int64)
+    h6[3 * np.arange(1, math.isqrt(table.bound // 3) + 1) ** 2] -= 4
+    h6[4 * np.arange(1, math.isqrt(table.bound // 4) + 1) ** 2] -= 3
     return h6
 
 
@@ -312,32 +323,48 @@ def L1_psi_bar(t: int, sieve: FactorSieve) -> float:
     return default_euler_constant() * f
 
 
-def save_class_numbers(table: ClassNumberTable, path) -> None:
-    """Binary cache: magic, little-endian u64 bound, u32 h values ascending |D|."""
-    ds = np.concatenate(
-        [np.arange(3, table.bound + 1, 4), np.arange(4, table.bound + 1, 4)]
-    )
+def _discriminants(bound: int) -> np.ndarray:
+    """|D| = n <= bound with n = 0, 3 mod 4, ascending: the cache's order."""
+    ds = np.concatenate([np.arange(3, bound + 1, 4), np.arange(4, bound + 1, 4)])
     ds.sort()
-    values = table.h[ds].astype("<u4")
+    return ds
+
+
+def save_class_numbers(table: ClassNumberTable, path) -> None:
+    """Binary cache: magic, little-endian u64 bound, u32 form counts A
+    ascending |D|, then the sha256 of everything before it."""
+    header = CACHE_MAGIC + struct.pack("<Q", table.bound)
+    payload = table.forms[_discriminants(table.bound)].astype("<u4").tobytes()
     with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<Q", table.bound))
-        values.tofile(f)
+        f.write(header)
+        f.write(payload)
+        f.write(hashlib.sha256(header + payload).digest())
 
 
 def load_class_numbers(path) -> ClassNumberTable:
+    """Read a cache written by ``save_class_numbers``.  A wrong magic, a
+    length that does not match the bound, or a checksum mismatch raises
+    ValueError before any count is used."""
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != CACHE_MAGIC:
-            raise ValueError(f"bad class-number cache magic {magic!r}")
-        (bound,) = struct.unpack("<Q", f.read(8))
-        ds = np.concatenate([np.arange(3, bound + 1, 4), np.arange(4, bound + 1, 4)])
-        ds.sort()
-        values = np.fromfile(f, dtype="<u4")
-    if values.size != ds.size:
+        raw = f.read()
+    magic = raw[:8]
+    if magic == b"MRMCLS01":
         raise ValueError(
-            f"class-number cache truncated: {values.size} entries, expected {ds.size}"
+            "class-number cache is in the old MRMCLS01 format (class numbers, "
+            "no checksum); re-run `murmur sieve`"
         )
-    h = np.zeros(bound + 1, dtype=np.int32)
-    h[ds] = values
-    return ClassNumberTable(bound=int(bound), h=h)
+    if magic != CACHE_MAGIC:
+        raise ValueError(f"bad class-number cache magic {magic!r}")
+    if len(raw) < 16:
+        raise ValueError(f"class-number cache truncated: {len(raw)} bytes")
+    (bound,) = struct.unpack("<Q", raw[8:16])
+    count = bound // 4 + (bound + 1) // 4  # n <= bound with n = 0, 3 mod 4
+    expected = 16 + 4 * count + 32
+    if len(raw) != expected:
+        fault = "truncated" if len(raw) < expected else "has trailing bytes"
+        raise ValueError(f"class-number cache {fault}: {len(raw)} bytes, expected {expected}")
+    if hashlib.sha256(raw[:-32]).digest() != raw[-32:]:
+        raise ValueError("class-number cache checksum mismatch: the file is corrupted")
+    forms = np.zeros(bound + 1, dtype=np.int32)
+    forms[_discriminants(bound)] = np.frombuffer(raw, dtype="<u4", count=count, offset=16)
+    return ClassNumberTable(bound=bound, forms=forms)

@@ -56,8 +56,9 @@ def _emit_json(payload: dict, path) -> None:
     _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", path)
 
 
-# bytes per |D| <= bound: the int32 class numbers h alone, and with them the
-# int64 6H table, the float64 L(1) table and the int32 factor sieve
+# bytes per |D| <= bound: the int32 reduced-form counts alone, and with them
+# the int64 6H table, the float64 L(1) table and the int32 factor sieve (no
+# run path reads the class numbers h, which are derived only on demand)
 _SIEVE_BYTES = 4
 _CONTEXT_BYTES = 4 + 8 + 8 + 4
 

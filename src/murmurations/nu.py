@@ -333,11 +333,14 @@ def _oscillatory_integrals(E: Interval, tmax: int, w: int) -> np.ndarray:
     return out
 
 
+# floor of the reported quadrature error of nu_fourier
+_QUAD_TOL = 1e-9
+
+
 def nu_fourier(
     E: Interval,
     t_max: int,
     sieve: FactorSieve,
-    quad_tol: float = 1e-9,
     weight: str = "cubic",
 ) -> NuPart:
     """Fourier form: (1/2) sum over t of prod_{p not dividing t}
@@ -346,7 +349,7 @@ def nu_fourier(
     The t = 0 coefficient is exactly 1 (empty product); |t| >= 1 pairs are
     folded and their infinite products evaluated as C f(t) / zeta(2).  The
     y-integrals are done in closed form (sine/cosine integrals), so the
-    quadrature error is at rounding level; quad_tol is kept as a floor for
+    quadrature error is at rounding level; _QUAD_TOL is kept as a floor for
     the reported bound.
 
     The series converges only conditionally (its tail is a Fourier series
@@ -376,7 +379,7 @@ def nu_fourier(
     integrals = _oscillatory_integrals(E, t_max, w)
     value = base + float(np.dot(coeff * taper, integrals))
     tail = 4.0 * v ** ((w - 1) / 2.0) * (1.0 + math.log(t_max)) / t_max
-    quad_err = max(quad_tol, 3e-15 * math.sqrt(v) * t_max**1.5)
+    quad_err = max(_QUAD_TOL, 3e-15 * math.sqrt(v) * t_max**1.5)
     return NuPart(value=value, tail_bound=tail + quad_err)
 
 

@@ -29,6 +29,9 @@ _NODES16, _WEIGHTS16 = np.polynomial.legendre.leggauss(16)
 # evaluated to 40 digits, is 2.0e-16 at xi = 220 and 3.0e-17 at xi = 250.
 _HAT_NEGLIGIBLE_FREQ = 250.0
 
+# frequencies per cosine matrix in hat_many: each holds _HAT_BLOCK x nodes floats
+_HAT_BLOCK = 4096
+
 
 def _bump_integral(b):
     """integral of exp(-1/(1-t^2)) over [-1, b], vectorized in b."""
@@ -66,7 +69,7 @@ class WindowFunction:
     def value(self, x: float) -> float:
         return float(self.value_many(np.asarray([x]))[0])
 
-    def hat_many(self, xi, block: int = 4096) -> np.ndarray:
+    def hat_many(self, xi) -> np.ndarray:
         """W-hat on an array of frequencies by composite panel quadrature.
 
         Panels are sized for the largest |xi| so one node grid (and one set
@@ -86,9 +89,9 @@ class WindowFunction:
         out = np.empty(xi.shape, dtype=np.float64)
         flat = xi.ravel()
         res = out.ravel()
-        for i in range(0, flat.size, block):
-            seg = flat[i : i + block]
-            res[i : i + block] = 2.0 * (np.cos(2.0 * np.pi * seg[:, None] * u) @ wq)
+        for i in range(0, flat.size, _HAT_BLOCK):
+            seg = flat[i : i + _HAT_BLOCK]
+            res[i : i + _HAT_BLOCK] = 2.0 * (np.cos(2.0 * np.pi * seg[:, None] * u) @ wq)
         return out
 
     def hat(self, xi: float) -> float:

@@ -62,13 +62,28 @@ def test_form_sieve_vs_bruteforce():
     assert int(table.h.sum()) == int(brute.sum())
 
 
+def _brute_force_hurwitz6(h):
+    # 6 H(n) = sum over f^2 | n of 6 h(-n/f^2) / (w/2), straight from the definition
+    h6 = np.zeros(h.size, dtype=np.int64)
+    for n in range(3, h.size):
+        for f in range(1, math.isqrt(n) + 1):
+            m = n // (f * f)
+            if n % (f * f) == 0:
+                h6[n] += 6 * int(h[m]) // (3 if m == 3 else 2 if m == 4 else 1)
+    return h6
+
+
 def test_form_sieve_small_bounds():
     # every bound from the smallest: progressions that start past the bound,
-    # and primes p with p^2 near the bound in the Moebius step
+    # primes p with p^2 near the bound in the Moebius step, and the last
+    # n = 3 f^2 and n = 4 f^2 at or below the bound in hurwitz6
     for bound in range(4, 301):
         table = sieve_class_numbers(bound)
-        assert table.h.dtype == np.int32
-        assert np.array_equal(table.h, _brute_force_form_counts(bound)), bound
+        assert table.forms.dtype == np.int32 and table.h.dtype == np.int32
+        assert np.array_equal(table.forms, _brute_force_form_counts(bound, primitive=False)), bound
+        h = _brute_force_form_counts(bound)
+        assert np.array_equal(table.h, h), bound
+        assert np.array_equal(hurwitz6(table), _brute_force_hurwitz6(h)), bound
 
 
 def test_all_forms_are_class_numbers_over_squares():
@@ -297,6 +312,34 @@ def test_hurwitz6_matches_class_number_formula(class_table_20k, sieve_1m):
     assert h6[3] == 2 and h6[4] == 3 and h6[12] == 8 and h6[0] == 0
 
 
+def test_hurwitz6_matches_three_squares(class_table_20k):
+    """Whole-table oracle from Gauss's three-square theorem, sharing no code
+    with the form sieve: r_3(n) = 24 H(n) for n = 3 mod 8 and 12 H(4n) for
+    n = 1, 2 mod 4, and H(4n) = (3 - (-n/2)) H(n) - 2 H(n/4) for n = 0, 3
+    mod 4 ties the other classes to them.  n = 7 mod 8 has r_3 = 0, so it is
+    anchored here only through that relation; the class number formula test
+    covers it directly."""
+    bound = class_table_20k.bound
+    h6 = hurwitz6(class_table_20k)
+    # theta^2 from the outer sum of the squares k^2, k in Z, then theta^3 by
+    # one shifted add of theta^2 per k, in exact integers
+    k = np.arange(-math.isqrt(bound), math.isqrt(bound) + 1)
+    pairs = np.add.outer(k * k, k * k).ravel()
+    r2 = np.bincount(pairs[pairs <= bound], minlength=bound + 1)
+    r3 = np.zeros(bound + 1, dtype=np.int64)
+    for s in (k * k).tolist():
+        r3[s:] += r2[: bound + 1 - s]
+    n = np.arange(bound + 1)
+    odd = n[n % 8 == 3]
+    assert odd.size == 2500 and np.array_equal(r3[odd], 4 * h6[odd])
+    even = n[((n % 4 == 1) | (n % 4 == 2)) & (4 * n <= bound)]
+    assert even.size == 2500 and np.array_equal(r3[even], 2 * h6[4 * even])
+    for m in range(3, bound // 4 + 1):
+        if m % 4 in (0, 3):
+            quarter = int(h6[m // 4]) if m % 4 == 0 else 0
+            assert h6[4 * m] == (3 - kronecker(-m, 2)) * h6[m] - 2 * quarter, m
+
+
 def test_kronecker_hurwitz_relation(class_table_20k, sieve_1m):
     # sum over t^2 <= 4n of H(4n - t^2) = 2 sigma(n) - sum_{d | n} min(d, n/d),
     # with H(0) = -1/12; in twelfths, 12 H = 2 h6 away from 0
@@ -346,10 +389,12 @@ def test_l1_psi_bar_values(sieve_1m):
 def test_cache_roundtrip(tmp_path, class_table_20k):
     path = tmp_path / "cls.bin"
     save_class_numbers(class_table_20k, path)
-    expected = 8 + 8 + 4 * sum(1 for n in range(3, 2 * 10**4 + 1) if n % 4 in (0, 3))
+    # magic, u64 bound, u32 form counts, sha256 trailer
+    expected = 8 + 8 + 4 * sum(1 for n in range(3, 2 * 10**4 + 1) if n % 4 in (0, 3)) + 32
     assert path.stat().st_size == expected
     loaded = load_class_numbers(path)
     assert loaded.bound == class_table_20k.bound
+    assert np.array_equal(loaded.forms, class_table_20k.forms)
     assert np.array_equal(loaded.h, class_table_20k.h)
 
 

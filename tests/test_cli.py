@@ -12,9 +12,9 @@ def test_sieve_command_and_format(tmp_path):
     out = tmp_path / "cls.bin"
     assert main(["sieve", "--dmax", "4000", "--out", str(out)]) == 0
     raw = out.read_bytes()
-    assert raw[:8] == b"MRMCLS01"
+    assert raw[:8] == b"MRMCLS02"
     count = sum(1 for n in range(3, 4001) if n % 4 in (0, 3))
-    assert len(raw) == 16 + 4 * count
+    assert len(raw) == 16 + 4 * count + 32
     table = load_class_numbers(out)
     assert table.class_number(-23) == 3
 
@@ -36,6 +36,30 @@ def test_corrupted_cache_rejected(tmp_path):
     out.write_bytes(bytes(raw))
     code = main(["trace", "--k", "12", "--nmax", "5", "--cache", str(out)])
     assert code == 1  # surfaced as a value error
+
+
+def _flip_payload_byte(raw):
+    raw[16 + 40] ^= 0x01
+    return raw
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_flip_payload_byte, "checksum mismatch"),
+        (lambda raw: raw[:-1], "truncated"),
+        (lambda raw: b"MRMCLS01" + raw[8:], "re-run `murmur sieve`"),
+        (lambda raw: raw + b"\x00", "trailing bytes"),
+    ],
+    ids=["flipped-payload-byte", "truncated", "old-format", "appended-byte"],
+)
+def test_bad_cache_exits_1(corrupt, message, tmp_path, capsys):
+    out = tmp_path / "cls.bin"
+    assert main(["sieve", "--dmax", "400", "--out", str(out)]) == 0
+    out.write_bytes(bytes(corrupt(bytearray(out.read_bytes()))))
+    assert main(["trace", "--k", "12", "--nmax", "5", "--cache", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_trace_command(tmp_path):

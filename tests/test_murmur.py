@@ -14,6 +14,7 @@ from murmurations.murmur import (
 )
 from murmurations import murmur, trace
 from murmurations.arith import analytic_conductor
+from murmurations.classnum import sieve_class_numbers
 from murmurations.nu import Interval
 from murmurations.qexp import oracle_trace
 from murmurations.trace import TableBoundError, progression_weights, trace_hecke
@@ -190,6 +191,16 @@ def test_elliptic_rows_shared_within_a_context(smoke_context, monkeypatch):
         for i, series in shared.items():
             for name in ("n", "numerator", "denominator", "cumulative"):
                 assert np.array_equal(getattr(series, name), getattr(alone[i], name)), (i, name)
+
+
+def test_series_never_derives_class_numbers(smoke_context):
+    # a figure-style solve reads only 6H, so the Moebius pass behind h never runs
+    table = sieve_class_numbers(smoke_context.table.bound)
+    ctx = trace.TraceContext(table=table, sieve=smoke_context.sieve)
+    E = Interval(Fraction(0), Fraction(2))
+    for delta in (0, 1):
+        compute_series(MurmurationRequest(delta=delta, K=600.0, H=60.0, E=E), ctx)
+    assert "h" not in table.__dict__
 
 
 def test_sqrt_p_weighting(smoke_context):
