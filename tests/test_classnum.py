@@ -67,8 +67,8 @@ def _brute_force_hurwitz6(h):
     h6 = np.zeros(h.size, dtype=np.int64)
     for n in range(3, h.size):
         for f in range(1, math.isqrt(n) + 1):
-            m = n // (f * f)
             if n % (f * f) == 0:
+                m = n // (f * f)
                 h6[n] += 6 * int(h[m]) // (3 if m == 3 else 2 if m == 4 else 1)
     return h6
 
