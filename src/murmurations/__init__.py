@@ -32,7 +32,6 @@ from .trace import (
     TableBoundError,
     TraceContext,
     eigenvalue_sum_prime,
-    progression_cosine_sum,
     trace_hecke,
 )
 from .qexp import IntegerPowerSeries, eisenstein, eta_power_24, newform_qexp, oracle_trace

@@ -118,8 +118,14 @@ def hurwitz6(table: ClassNumberTable) -> np.ndarray:
     units: f (1, 1, 1) at n = 3 f^2 (w/2 = 3, weight 2 instead of 6) and
     f (1, 0, 1) at n = 4 f^2 (w/2 = 2, weight 3).  Entries at n = 1, 2 mod 4,
     and at n = 0, are 0.
+
+    int32 holds every value the factor sieve can serve (n <= 4 (2^31 - 1)):
+    h(D) <= (sqrt|D| / pi)(2 + log|D|) for D < -4, so
+    A(n) <= (sqrt n / pi)(2 + log n)(1 + log sqrt n), summing 1/g over
+    g^2 | n, and 6 H <= 6 A < 5.5e7 < 2^31.  The largest 6 H is 9 648 at
+    bound 750 532 and 26 988 at 5 065 052.
     """
-    h6 = 6 * table.forms.astype(np.int64)
+    h6 = 6 * table.forms
     h6[3 * np.arange(1, math.isqrt(table.bound // 3) + 1) ** 2] -= 4
     h6[4 * np.arange(1, math.isqrt(table.bound // 4) + 1) ** 2] -= 3
     return h6
@@ -325,8 +331,11 @@ def L1_psi_bar(t: int, sieve: FactorSieve) -> float:
 
 def _discriminants(bound: int) -> np.ndarray:
     """|D| = n <= bound with n = 0, 3 mod 4, ascending: the cache's order."""
-    ds = np.concatenate([np.arange(3, bound + 1, 4), np.arange(4, bound + 1, 4)])
-    ds.sort()
+    # the n = 3 mod 4 outnumber the n = 0 mod 4 by at most one, so they
+    # take the even places and the n = 0 mod 4 the odd ones
+    ds = np.empty(bound // 4 + (bound + 1) // 4, dtype=np.int64)
+    ds[0::2] = np.arange(3, bound + 1, 4)
+    ds[1::2] = np.arange(4, bound + 1, 4)
     return ds
 
 

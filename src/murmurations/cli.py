@@ -57,10 +57,11 @@ def _emit_json(payload: dict, path) -> None:
 
 
 # bytes per |D| <= bound: the int32 reduced-form counts alone, and with them
-# the int64 6H table, the float64 L(1) table and the int32 factor sieve (no
-# run path reads the class numbers h, which are derived only on demand)
+# the int32 6H table, the float64 L(1) table and the int32 factor sieve of
+# n <= bound / 4, one byte per |D| (no run path reads the class numbers h,
+# which are derived only on demand)
 _SIEVE_BYTES = 4
-_CONTEXT_BYTES = 4 + 8 + 8 + 4
+_CONTEXT_BYTES = 4 + 4 + 8 + 1
 
 
 def _physical_memory() -> int:
@@ -98,7 +99,8 @@ def _load_context(args, required_bound: int) -> TraceContext:
         _require_memory(table.bound, _CONTEXT_BYTES)
     else:
         table = sieve_class_numbers(max(required_bound, 16))
-    sieve = build_factor_sieve(max(table.bound, 16))
+    # only the n of T_n are factored, and the table reaches 4n
+    sieve = build_factor_sieve(max(table.bound // 4, 16))
     return TraceContext(table=table, sieve=sieve)
 
 

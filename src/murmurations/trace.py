@@ -1,6 +1,6 @@
 """Eichler-Selberg trace formula for level 1: exact Hecke traces, the
-normalized eigenvalue sum at primes in cosine form, and closed-form cosine
-sums over weight progressions."""
+normalized eigenvalue sum at primes in cosine form, and the elliptic sums
+over weight progressions."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ __all__ = [
     "trace_hecke",
     "elliptic_sums",
     "eigenvalue_sum_prime",
-    "progression_cosine_sum",
     "progression_weights",
 ]
 
@@ -38,9 +37,10 @@ class TableBoundError(ValueError):
 class TraceContext:
     """Shared state for trace evaluations.
 
-    ``h6[n]`` holds 6 H(n), the Hurwitz class numbers of every n <= bound,
-    built on construction; the elliptic-term Dirichlet values L(1, psi_D)
-    are materialized lazily from it as one float array.  ``elliptic_rows``
+    ``h6[n]`` holds 6 H(n) as int32, the Hurwitz class numbers of every
+    n <= bound, built on construction; the elliptic-term Dirichlet values
+    L(1, psi_D) are materialized lazily from it as one float array.  The
+    factor sieve has to reach only the n of T_n.  ``elliptic_rows``
     keeps, for the life of the context, the read-only elliptic sums of both
     root-number classes that ``murmur.compute_series`` computed for each
     (K, H, E, summand domain), one float per summation point and class, so
@@ -58,22 +58,27 @@ class TraceContext:
     def __post_init__(self):
         self.h6 = hurwitz6(self.table)
 
-    def require(self, abs_disc: int) -> None:
-        if abs_disc > self.table.bound:
-            raise TableBoundError(abs_disc, self.table.bound)
-        if abs_disc > self.sieve.bound:
-            raise TableBoundError(abs_disc, self.sieve.bound)
+    def require(self, n: int) -> None:
+        """Check that the tables serve T_n: the class numbers reach
+        |D| = 4n and the factor sieve reaches n, the only number factored."""
+        if 4 * n > self.table.bound:
+            raise TableBoundError(4 * n, self.table.bound)
+        if n > self.sieve.bound:
+            raise TableBoundError(n, self.sieve.bound)
 
     def l1_array(self) -> np.ndarray:
         """L(1, psi_D) indexed by |D| for every D = 0, 1 mod 4, -bound <= D < 0.
 
         L(1, psi_D) = pi H(|D|) / sqrt|D| (Zagier), so one division of the
-        6 H table; entries at |D| = 0 and at non-discriminants are 0.
+        6 H table, built in place in the square-root array; entries at
+        |D| = 0 and at non-discriminants are 0.
         """
         if self._l1 is None:
-            absd = np.arange(self.table.bound + 1, dtype=np.float64)
-            absd[0] = 1.0
-            self._l1 = (2.0 * math.pi / 12.0) * self.h6 / np.sqrt(absd)
+            root = np.arange(self.table.bound + 1, dtype=np.float64)
+            root[0] = 1.0
+            np.sqrt(root, out=root)
+            l1 = np.multiply(2.0 * math.pi / 12.0, self.h6, dtype=np.float64)
+            self._l1 = np.divide(l1, root, out=l1)
         return self._l1
 
 
@@ -105,7 +110,7 @@ def trace_hecke(ctx: TraceContext, k: int, n: int) -> int:
         raise ValueError("weight must be an even integer >= 2")
     if n < 1:
         raise ValueError("n must be positive")
-    ctx.require(4 * n)
+    ctx.require(n)
     twelfths = 0
     root = math.isqrt(n)
     if root * root == n:
@@ -124,13 +129,6 @@ def trace_hecke(ctx: TraceContext, k: int, n: int) -> int:
     if twelfths % 12:
         raise ArithmeticError(f"non-integral trace for k={k}, n={n}")
     return twelfths // 12
-
-
-def _dirichlet_kernel(phi, sin2phi, k_min: int, m: int):
-    """sum_{j<m} cos((k_min - 1 + 4j) phi) in the closed form
-    sin(2 m phi) / sin(2 phi) * cos((k_min - 1 + 2(m - 1)) phi), given
-    sin(2 phi) away from 0."""
-    return np.sin(2 * m * phi) / sin2phi * np.cos((k_min - 1 + 2 * (m - 1)) * phi)
 
 
 # summation points per pass of elliptic_sums: with two weight windows the
@@ -235,9 +233,9 @@ def eigenvalue_sum_prime(ctx: TraceContext, k: int, p: int) -> float:
     """
     if k < 4 or k % 2:
         raise ValueError("weight must be an even integer >= 4")
+    ctx.require(p)
     if not ctx.sieve.is_prime(p):
         raise ValueError(f"{p} is not prime")
-    ctx.require(4 * p)
     inner = float(elliptic_sums([p], [(k, 1)], ctx.l1_array())[0, 0])
     sign = 1.0 if k % 4 == 0 else -1.0
     return -math.exp(0.5 * (1 - k) * math.log(p)) + sign * inner / math.pi
@@ -256,19 +254,3 @@ def progression_weights(K: float, H: float, delta: int) -> tuple[int, int]:
     if k_max < k_min:
         return k_min, 0
     return k_min, (k_max - k_min) // 4 + 1
-
-
-def progression_cosine_sum(K: float, H: float, delta: int, phi: float) -> float:
-    """sum of cos((k-1) phi) over the weight progression of (K, H, delta).
-
-    Closed Dirichlet-kernel form with a direct-summation fallback near the
-    degenerate denominator |sin 2 phi| < 1e-8.
-    """
-    k_min, m = progression_weights(K, H, delta)
-    if m == 0:
-        return 0.0
-    if abs(math.sin(2.0 * phi)) < 1e-8:
-        return float(
-            np.sum(np.cos((k_min - 1 + 4 * np.arange(m, dtype=np.float64)) * phi))
-        )
-    return float(_dirichlet_kernel(phi, math.sin(2.0 * phi), k_min, m))

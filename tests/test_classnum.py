@@ -10,6 +10,7 @@ from murmurations.classnum import (
     DiscriminantTable,
     L1_psi_D,
     L1_psi_bar,
+    _discriminants,
     decompose_discriminant,
     hurwitz6,
     is_fundamental,
@@ -83,6 +84,7 @@ def test_form_sieve_small_bounds():
         assert np.array_equal(table.forms, _brute_force_form_counts(bound, primitive=False)), bound
         h = _brute_force_form_counts(bound)
         assert np.array_equal(table.h, h), bound
+        assert hurwitz6(table).dtype == np.int32
         assert np.array_equal(hurwitz6(table), _brute_force_hurwitz6(h)), bound
 
 
@@ -396,6 +398,13 @@ def test_cache_roundtrip(tmp_path, class_table_20k):
     assert loaded.bound == class_table_20k.bound
     assert np.array_equal(loaded.forms, class_table_20k.forms)
     assert np.array_equal(loaded.h, class_table_20k.h)
+
+
+def test_cache_order_is_ascending_discriminants():
+    # the interleave of n = 3 and n = 0 mod 4 at every bound residue
+    for bound in range(300):
+        want = [n for n in range(1, bound + 1) if n % 4 in (0, 3)]
+        assert _discriminants(bound).tolist() == want, bound
 
 
 def test_cache_rejects_bad_magic(tmp_path, class_table_20k):

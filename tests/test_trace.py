@@ -1,17 +1,20 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from murmurations.murmur import dimension_S_k
+from murmurations.arith import build_factor_sieve
+from murmurations.murmur import MurmurationRequest, compute_series, dimension_S_k
+from murmurations.nu import Interval
 from murmurations.qexp import oracle_trace
 from murmurations.trace import (
     TableBoundError,
+    TraceContext,
     _lucas_u,
     eigenvalue_sum_prime,
     elliptic_sums,
-    progression_cosine_sum,
     progression_weights,
     trace_hecke,
 )
@@ -133,20 +136,6 @@ def test_progression_weights():
     assert progression_weights(10.0, 2.0, 1) == (10, 1)
 
 
-def test_progression_cosine_sum_zero_phase():
-    k_min, m = progression_weights(600.0, 60.0, 0)
-    assert progression_cosine_sum(600.0, 60.0, 0, 0.0) == float(m)
-
-
-def test_progression_cosine_sum_vs_direct():
-    k_min, m = progression_weights(3850.0, 100.0, 0)
-    ks = [k_min + 4 * j for j in range(m)]
-    assert m == 50
-    for phi in (0.3, -1.1, math.pi / 2, 1e-9, 0.7853):
-        direct = math.fsum(math.cos((k - 1) * phi) for k in ks)
-        assert abs(progression_cosine_sum(3850.0, 100.0, 0, phi) - direct) < 1e-10
-
-
 def _elliptic_sum_reference(n, k_min, m, l1):
     """elliptic_sums at one n, term by term: phi = atan2(t, sqrt(4n - t^2)) is
     well conditioned at every t, and every sum is a ``math.fsum``."""
@@ -183,14 +172,59 @@ def test_elliptic_sums_input_contract():
     assert not rows[0].any() and np.array_equal(rows[1], elliptic_sums([3, 5], [(10, 3)], l1)[0])
 
 
+def test_sieve_covers_n_only(ctx_small, class_table_20k):
+    # T_n factors only n, so a factor sieve up to n_max serves every n the
+    # class table (|D| <= 4 n_max) does, with the same values
+    n_max = class_table_20k.bound // 4
+    lean = TraceContext(table=class_table_20k, sieve=build_factor_sieve(n_max))
+    for n in (1, 2, 97, 360, 4096, 4999, n_max):
+        assert trace_hecke(lean, 12, n) == trace_hecke(ctx_small, 12, n), n
+    for k, p in ((12, 2), (24, 997), (40, 4999)):
+        assert eigenvalue_sum_prime(lean, k, p) == eigenvalue_sum_prime(ctx_small, k, p)
+    # K = 600: 2N = 4544 <= n_max
+    for domain in ("primes", "integers"):
+        for delta in (0, 1):
+            req = MurmurationRequest(delta=delta, K=600.0, H=60.0,
+                                     E=Interval(Fraction(0), Fraction(2)),
+                                     summand_domain=domain)
+            got, want = compute_series(req, lean), compute_series(req, ctx_small)
+            assert np.array_equal(got.n, want.n) and got.n.size
+            assert np.array_equal(got.numerator, want.numerator), (domain, delta)
+            assert np.array_equal(got.cumulative, want.cumulative), (domain, delta)
+    # a sieve below n is still refused
+    short = TraceContext(table=class_table_20k, sieve=build_factor_sieve(4998))
+    with pytest.raises(TableBoundError):
+        trace_hecke(short, 12, 4999)
+    with pytest.raises(TableBoundError):
+        eigenvalue_sum_prime(short, 12, 4999)
+
+
+def test_l1_array_is_one_division_of_6h(desk_context):
+    # bitwise the expression with an int64 6H and a separate quotient
+    absd = np.arange(desk_context.table.bound + 1, dtype=np.float64)
+    absd[0] = 1.0
+    want = (2.0 * math.pi / 12.0) * desk_context.h6.astype(np.int64) / np.sqrt(absd)
+    assert np.array_equal(desk_context.l1_array(), want)
+
+
+def test_elliptic_sums_t0_term():
+    # a table that is zero except at 4n leaves only t = 0: m L(1, psi_{-4n})
+    k_min, m = progression_weights(600.0, 60.0, 0)
+    for n in (1, 7, 1009):
+        l1 = np.zeros(4 * n + 1)
+        l1[4 * n] = 0.7
+        assert elliptic_sums([n], [(k_min, m)], l1)[0, 0] == m * 0.7, n
+
+
 def test_elliptic_sums_vs_direct_cosine_sum(sieve_1m):
     # p = 187 631, the largest prime of the K = 3850 figure; one unit L(1)
-    # value isolates the (p, t) term, which enters for t and -t
+    # value isolates the (p, t) term, which enters for t and -t.  The t run
+    # from phi near 0 through phi near 0.3, pi/4 and 1.1 to phi near pi/2
     p = 187631
     assert sieve_1m.is_prime(p)
     k_min, m = progression_weights(3850.0, 100.0, 0)
     ks = [k_min + 4 * j for j in range(m)]
-    for t in (1, math.isqrt(4 * p - 1)):
+    for t in (1, 256, 613, 772, math.isqrt(4 * p - 1)):
         l1 = np.zeros(4 * p + 1)
         l1[4 * p - t * t] = 1.0
         phi = math.atan2(t, math.sqrt(4 * p - t * t))
