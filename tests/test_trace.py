@@ -216,15 +216,32 @@ def test_elliptic_sums_t0_term():
         assert elliptic_sums([n], [(k_min, m)], l1)[0, 0] == m * 0.7, n
 
 
+def test_progression_cosine_sum_vs_direct(sieve_1m):
+    # the progression cosine sum of the K = 3850 window, read off the one
+    # remaining kernel: a unit L(1) value at 4p - t^2 isolates the (p, t)
+    # term, which enters for t and -t.  These t put phi near 0.3, pi/4, 1.1
+    p = 187631
+    k_min, m = progression_weights(3850.0, 100.0, 0)
+    ks = [k_min + 4 * j for j in range(m)]
+    assert m == 50
+    for t in (256, 613, 772):
+        l1 = np.zeros(4 * p + 1)
+        l1[4 * p - t * t] = 1.0
+        phi = math.atan2(t, math.sqrt(4 * p - t * t))
+        direct = math.fsum(math.cos((k - 1) * phi) for k in ks)
+        got = elliptic_sums([p], [(k_min, m)], l1)[0, 0] / 2.0
+        assert abs(got - direct) < 1e-10, t
+
+
 def test_elliptic_sums_vs_direct_cosine_sum(sieve_1m):
     # p = 187 631, the largest prime of the K = 3850 figure; one unit L(1)
-    # value isolates the (p, t) term, which enters for t and -t.  The t run
-    # from phi near 0 through phi near 0.3, pi/4 and 1.1 to phi near pi/2
+    # value isolates the (p, t) term, which enters for t and -t.  The two
+    # ends of the t range put phi near 0 and near pi/2
     p = 187631
     assert sieve_1m.is_prime(p)
     k_min, m = progression_weights(3850.0, 100.0, 0)
     ks = [k_min + 4 * j for j in range(m)]
-    for t in (1, 256, 613, 772, math.isqrt(4 * p - 1)):
+    for t in (1, math.isqrt(4 * p - 1)):
         l1 = np.zeros(4 * p + 1)
         l1[4 * p - t * t] = 1.0
         phi = math.atan2(t, math.sqrt(4 * p - t * t))
