@@ -143,7 +143,7 @@ def compute_series(req: MurmurationRequest, ctx: TraceContext) -> MurmurationSer
         ns = np.zeros(0, dtype=np.int64)
     elif req.summand_domain == "primes":
         if n_max > ctx.sieve.bound:
-            raise TableBoundError(n_max, ctx.sieve.bound)
+            raise TableBoundError(n_max, ctx.sieve.bound, table="sieve")
         primes = ctx.sieve.primes
         ns = primes[(primes >= lo) & (primes <= hi)]
     else:

@@ -23,14 +23,17 @@ __all__ = [
 
 
 class TableBoundError(ValueError):
-    """A query needs class numbers beyond the sieved bound."""
+    """A query needs a table beyond its bound: the class numbers, indexed by
+    |D| (``table="class"``), or the factor sieve, indexed by n
+    (``table="sieve"``)."""
 
-    def __init__(self, required: int, available: int):
+    _COVERS = {"class": "class-number table covers |D|", "sieve": "factor sieve covers n"}
+
+    def __init__(self, required: int, available: int, table: str = "class"):
         self.required = required
         self.available = available
-        super().__init__(
-            f"class-number table covers |D| <= {available}, need {required}"
-        )
+        self.table = table
+        super().__init__(f"{self._COVERS[table]} <= {available}, need {required}")
 
 
 @dataclass
@@ -64,7 +67,7 @@ class TraceContext:
         if 4 * n > self.table.bound:
             raise TableBoundError(4 * n, self.table.bound)
         if n > self.sieve.bound:
-            raise TableBoundError(n, self.sieve.bound)
+            raise TableBoundError(n, self.sieve.bound, table="sieve")
 
     def l1_array(self) -> np.ndarray:
         """L(1, psi_D) indexed by |D| for every D = 0, 1 mod 4, -bound <= D < 0.
@@ -131,11 +134,10 @@ def trace_hecke(ctx: TraceContext, k: int, n: int) -> int:
     return twelfths // 12
 
 
-# summation points per pass of elliptic_sums: with two weight windows the
-# ladder holds at most six complex buffers (96 bytes a point: z, its square
-# and the powers of up to four distinct exponents), which then fit in a
-# 2 MiB L2 cache.  On a 2-vCPU Xeon at K = 10^4 (97 634 primes), one pass
-# took 9.6-10.0 s per class and passes of at most 16 384 points 5.5-6.2 s;
+# summation points per pass of elliptic_sums: the arrays of one t (z, its
+# powers and the float temporaries) then stay in a 2 MiB L2 cache.  On a
+# 2-vCPU Xeon at K = 10^4 (97 634 primes, both classes in one call), one
+# pass took 11.2-12.0 s and passes of at most 16 384 points 7.4-7.5 s;
 # each n is summed alone, so the result does not depend on the size
 _PASS_POINTS = 1 << 14
 
@@ -191,35 +193,22 @@ def _elliptic_pass(ns, windows, l1: np.ndarray) -> np.ndarray:
         out[row] = windows[row][1] * l1_t0
     exps = sorted({e for _, a, c in active for e in (a, c)})
     inv_2rn = 0.5 / np.sqrt(ns)
-    bufs = np.empty((len(exps) + 2, ns.size), dtype=np.complex128)
     for t in range(1, math.isqrt(int(ns4[-1]) - 1) + 1):
         j = int(np.searchsorted(ns, t * t // 4, side="right"))
         disc = ns4[j:] - t * t
         re = np.sqrt(disc) * inv_2rn[j:]
         im = t * inv_2rn[j:]
         w = l1[disc] / (re * im)
-        # no product is written over one of its inputs: numpy's complex
-        # multiply rounds differently when it is, on length-1 arrays
-        free = list(bufs[:, j:])
-        z = free.pop()
+        z = np.empty(re.size, dtype=np.complex128)
         z.real = re
         z.imag = im
         powers = {}
         for i in range(exps[-1].bit_length()):
             if i:
-                square = free.pop()
-                np.multiply(z, z, out=square)
-                free.append(z)
-                z = square
+                z = z * z
             for e in exps:
                 if e >> i & 1:
-                    product = free.pop()
-                    if e not in powers:
-                        np.copyto(product, z)
-                    else:
-                        np.multiply(powers[e], z, out=product)
-                        free.append(powers[e])
-                    powers[e] = product
+                    powers[e] = powers[e] * z if e in powers else z
         for row, a, c in active:
             out[row, j:] += powers[a].imag * powers[c].real * w
     return out

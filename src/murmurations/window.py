@@ -145,34 +145,17 @@ def cosine_progression_sum(w: WindowFunction, k0: int, h: float, phi: float) -> 
     return float(np.dot(np.cos((k0 - 1 + 4 * m) * phi), weights))
 
 
-def poisson_weight_sum(
-    w: WindowFunction, k0: int, h: float, phi: float, tail: float = 1e-12
-) -> float:
+def poisson_weight_sum(w: WindowFunction, k0: int, h: float, phi: float) -> float:
     """Dual side of the identity: h cos((k0-1) phi) sum_l W-hat(h l + 2 h phi / pi).
 
-    The l-sum is extended until the transform values sit below ``tail`` (and
-    in any case to arguments past 200, beyond which the transform is at the
-    quadrature noise floor): it stops at the third l in a row with both
-    |W-hat(+-h l + shift)| < tail, or at the first such l with h l > 220.
-    The transform is evaluated in batches of l, each by one ``hat_many``.
+    The l-sum runs over every l with |h l + shift| <= _HAT_NEGLIGIBLE_FREQ +
+    |shift|, shift = 2 h phi / pi, which holds every l whose transform value
+    is above 3e-17; the transform takes one ``hat_many`` call.
     """
     if h <= 0:
         raise ValueError("window width h must be positive")
     shift = 2.0 * h * phi / math.pi
-    # enough l to pass 220 and three more, where the sum almost always ends
-    batch = math.ceil(220.0 / h) + 3
-    total = w.hat(shift)
-    ell = 1
-    small = 0
-    while True:
-        ells = np.arange(ell, ell + batch, dtype=np.float64)
-        pairs = w.hat_many(np.stack([h * ells + shift, -h * ells + shift])).T
-        for a, b in pairs.tolist():
-            total += a + b
-            if abs(a) < tail and abs(b) < tail:
-                small += 1
-                if small >= 3 or h * ell > 220.0:
-                    return h * math.cos((k0 - 1) * phi) * total
-            else:
-                small = 0
-            ell += 1
+    reach = _HAT_NEGLIGIBLE_FREQ + abs(shift)
+    ells = np.arange(math.ceil((-reach - shift) / h), math.floor((reach - shift) / h) + 1)
+    total = float(w.hat_many(h * ells + shift).sum())
+    return h * math.cos((k0 - 1) * phi) * total

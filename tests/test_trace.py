@@ -199,6 +199,27 @@ def test_sieve_covers_n_only(ctx_small, class_table_20k):
         eigenvalue_sum_prime(short, 12, 4999)
 
 
+def test_table_bound_error_names_the_short_table(class_table_20k, sieve_1m):
+    # the message names the table that is short and what it is indexed by:
+    # the factor sieve by n, the class numbers by |D| = 4n
+    short_sieve = TraceContext(table=class_table_20k, sieve=build_factor_sieve(4000))
+    short_class = TraceContext(table=class_table_20k, sieve=sieve_1m)
+    k600 = MurmurationRequest(delta=0, K=600.0, H=60.0, E=Interval(Fraction(0), Fraction(2)))
+    k900 = MurmurationRequest(delta=0, K=900.0, H=60.0, E=Interval(Fraction(0), Fraction(2)))
+    sieve_msg = "factor sieve covers n <= 4000, need "
+    class_msg = "class-number table covers |D| <= 20000, need "
+    for call, table, message in (
+        (lambda: trace_hecke(short_sieve, 12, 4500), "sieve", sieve_msg + "4500"),
+        (lambda: compute_series(k600, short_sieve), "sieve", sieve_msg + "4544"),
+        (lambda: trace_hecke(short_sieve, 12, 5001), "class", class_msg + "20004"),
+        # 10 223 is the largest prime <= 2 N(900)
+        (lambda: compute_series(k900, short_class), "class", class_msg + str(4 * 10223)),
+    ):
+        with pytest.raises(TableBoundError) as info:
+            call()
+        assert (info.value.table, str(info.value)) == (table, message)
+
+
 def test_l1_array_is_one_division_of_6h(desk_context):
     # bitwise the expression with an int64 6H and a separate quotient
     absd = np.arange(desk_context.table.bound + 1, dtype=np.float64)
