@@ -31,7 +31,9 @@ class FactorSieve:
 
     The multiplicative tables are kept on first use and handed out as
     read-only views.  The largest table requested lives as long as the
-    sieve: 17 bytes per entry, so about 17 MB after ``L1_psi_bar(10**6)``.
+    sieve: 17 bytes per entry, so about 17 MB after
+    ``multiplicative_tables(10**6)``.  ``L1_psi_bar`` factors its one t and
+    builds no table.
     Safe to share between threads: two threads racing for a table may both
     walk, but each publishes only a finished table, so neither sees a
     partial one.

@@ -87,26 +87,41 @@ def sieve_class_numbers(bound: int) -> ClassNumberTable:
     b^2 - 4ac.
 
     Reduction: |b| <= a <= c with b >= 0 when |b| = a or a = c; forms with
-    0 < b < a < c count twice for the +-b pair.  For fixed (a, b) the values
-    4ac - b^2, c >= a, run through a progression of step 4a, so one strided
-    slice-add per (a, b) fills ``forms``; h is derived from it on demand.
+    0 < b < a < c count twice for the +-b pair, so 0 <= b <= a carries the
+    weight w_b = 1 at b in {0, a} and 2 otherwise, except that the c = a
+    form always weighs 1.  For fixed (a, b) the values 4ac - b^2, c >= a,
+    run through a progression of step 4a that starts at 4a^2 - b^2.
+
+    One pass per a fills ``forms`` in two parts; h is derived on demand.
+    - Body: from n = 4a^2 on every progression has started and is past its
+      c = a term (b = 0 starts there with weight w_0 = 1), so the counts of
+      this a repeat with period 4a: p_a[r] = sum of w_b over -b^2 = r
+      (mod 4a).  One broadcast adds p_a to ``forms[4a^2:]``.
+    - Head: below 4a^2 lie the terms 4a^2 - b^2 + 4aj with 0 <= 4aj < b^2,
+      weight 1 at j = 0 (c = a) and w_b after; one ``np.add.at`` adds them.
     """
     if bound < 4:
         raise ValueError("bound must be at least 4")
     forms = np.zeros(bound + 1, dtype=np.int32)
-    amax = math.isqrt(bound // 3)
-    for a in range(1, amax + 1):
+    for a in range(1, math.isqrt(bound // 3) + 1):
         step = 4 * a
-        for b in range(0, a + 1):
-            # the start falls as b grows, so later b may still fit
-            start = step * a - b * b
-            if start > bound:
-                continue
-            if b == 0 or b == a:
-                forms[start::step] += 1
-            else:
-                forms[start::step] += 2
-                forms[start] -= 1  # c = a: only +b is reduced
+        b = np.arange(a + 1)
+        w = np.full(a + 1, 2, dtype=np.int32)
+        w[0] = w[a] = 1
+        pattern = np.zeros(step, dtype=np.int32)
+        np.add.at(pattern, -(b * b) % step, w)
+        body = forms[step * a :]
+        rows = body.size // step
+        block = body[: rows * step].reshape(rows, step)  # a view: adds in place
+        block += pattern
+        body[rows * step :] += pattern[: body.size - rows * step]
+        # head: ceil(b^2 / 4a) terms for each b, j counting up from 0 within each
+        counts = (b * b + step - 1) // step
+        bb = np.repeat(b, counts)
+        j = np.arange(bb.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        n = step * (a + j) - bb * bb
+        keep = n <= bound
+        np.add.at(forms, n[keep], np.where(j == 0, 1, w[bb])[keep])
     return ClassNumberTable(bound=bound, forms=forms)
 
 
@@ -323,9 +338,18 @@ def psi_bar(t: int, m: int, sieve: FactorSieve) -> Fraction:
 
 
 def L1_psi_bar(t: int, sieve: FactorSieve) -> float:
-    """L(1, psi_bar_t) = C * f(t) with C the working Euler-product constant."""
+    """L(1, psi_bar_t) = C * f(t) with C the working Euler-product constant.
+
+    f(t) is the product of 1 + 1/(p^2 - p - 1) over the primes p | t,
+    ascending, as the table walk of ``FactorSieve.multiplicative_tables``
+    multiplies it, so the value is bitwise the table's without building one.
+    """
     t = abs(t)
-    f = sieve.f_zero() if t == 0 else float(sieve.multiplicative_tables(t)[2][t])
+    if t == 0:
+        return default_euler_constant() * sieve.f_zero()
+    f = 1.0
+    for p, _ in sieve.factorize(t):
+        f *= 1.0 + 1.0 / (p * p - p - 1.0)
     return default_euler_constant() * f
 
 

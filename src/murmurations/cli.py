@@ -270,6 +270,9 @@ def _step_sample(xs, ys, grid):
 
 
 def cmd_compare(args) -> int:
+    if args.grid_points < 2:
+        print("error: --grid-points must be at least 2", file=sys.stderr)
+        return EXIT_USAGE
     mx, mr = _read_csv(args.murmur_csv, "p_over_N", "cumulative_r")
     nx, nv = _read_csv(args.nu_csv, "t", "nu_cumulative_rational")
     if mx.size == 0 or nx.size == 0:
@@ -289,12 +292,16 @@ def cmd_compare(args) -> int:
     r = _step_sample(mx, mr, points)
     nu_vals = sign * _step_sample(nx, nv, points)
     dev = np.abs(r - nu_vals)
+    # a flat curve has no correlation: null, where corrcoef would give NaN
+    pearson = None
+    if np.ptp(r[:n]) > 0 and np.ptp(nu_vals[:n]) > 0:
+        pearson = float(np.corrcoef(r[:n], nu_vals[:n])[0, 1])
     report = {
         "grid_points": n,
         "range": [float(lo), float(hi)],
         "max_abs_deviation": float(dev[:n].max()),
         "deviation_at_2": float(dev[n]) if dev.size > n else None,
-        "pearson_correlation": float(np.corrcoef(r[:n], nu_vals[:n])[0, 1]),
+        "pearson_correlation": pearson,
     }
     _emit_json(report, args.out)
     return EXIT_OK

@@ -1,11 +1,13 @@
+import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from murmurations.arith import default_euler_constant, kronecker
+from murmurations.arith import build_factor_sieve, default_euler_constant, kronecker
 from murmurations.classnum import (
     DiscriminantTable,
     L1_psi_D,
@@ -86,6 +88,30 @@ def test_form_sieve_small_bounds():
         assert np.array_equal(table.h, h), bound
         assert hurwitz6(table).dtype == np.int32
         assert np.array_equal(hurwitz6(table), _brute_force_hurwitz6(h)), bound
+
+
+def test_figure_bound_table_digests(desk_context):
+    # the figure-scale table, pinned by digest: it crosses the seam between
+    # each a's head and its periodic body for every a <= 500
+    table = desk_context.table
+    assert table.bound == 750_532
+    assert hashlib.sha256(table.h.tobytes()).hexdigest() == (
+        "0d06f2f199bb7f6f6e6f7d318f09f6e82b70369919b5ff8e852c5cfcbfd2773f"
+    )
+    assert hashlib.sha256(table.forms.tobytes()).hexdigest() == (
+        "0a68ce3c99c74318afb159e873706e7303a21364d658d2a4a38a24fee23f4df5"
+    )
+
+
+def test_form_sieve_peak_memory():
+    # the sieve's working arrays stay small beside the table: no bound-sized temporary
+    tracemalloc.start()
+    try:
+        table = sieve_class_numbers(750_532)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * table.forms.nbytes
 
 
 def test_all_forms_are_class_numbers_over_squares():
@@ -386,6 +412,16 @@ def test_l1_psi_bar_values(sieve_1m):
     assert L1_psi_bar(-15, sieve_1m) == L1_psi_bar(15, sieve_1m)
     with pytest.raises(ValueError):
         L1_psi_bar(10**6 + 1, sieve_1m)
+
+
+def test_l1_psi_bar_factorizes_without_tables():
+    # the per-t product is bitwise the table walk's f(t), and builds no table
+    sieve = build_factor_sieve(10**6)
+    ts = list(range(1, 3000)) + [2**19, 3**12, 510510, 720720, 999983, 10**6 - 1, 10**6]
+    got = [L1_psi_bar(t, sieve) for t in ts]
+    assert sieve._tables is None
+    f = sieve.multiplicative_tables(10**6)[2]
+    assert got == [default_euler_constant() * f[t] for t in ts]
 
 
 def test_cache_roundtrip(tmp_path, class_table_20k):

@@ -108,7 +108,8 @@ def test_murmur_smoke_and_compare(tmp_path):
     assert rep["max_abs_deviation"] < 10
 
 
-def test_compare_identical_inputs(tmp_path):
+def _write_curves(tmp_path, nu):
+    """A murmuration CSV of sin(t) and a nu CSV of nu(t), t = 1/20 .. 39/20."""
     csv = tmp_path / "a.csv"
     lines = ["p,p_over_N,numerator_term,denominator_term,cumulative_r"]
     for i in range(1, 40):
@@ -119,15 +120,40 @@ def test_compare_identical_inputs(tmp_path):
     rows = ["t,nu_cumulative_rational,nu_cumulative_fourier_if_available"]
     for i in range(1, 40):
         t = i / 20
-        rows.append(f"{t},{math.sin(t)},")
+        rows.append(f"{t},{nu(t)},")
     nu_csv.write_text("\n".join(rows) + "\n")
+    return ["compare", "--murmur-csv", str(csv), "--nu-csv", str(nu_csv)]
+
+
+def test_compare_identical_inputs(tmp_path):
     report = tmp_path / "r.json"
-    assert main(
-        ["compare", "--murmur-csv", str(csv), "--nu-csv", str(nu_csv), "--out", str(report)]
-    ) == 0
+    assert main(_write_curves(tmp_path, math.sin) + ["--out", str(report)]) == 0
     rep = json.loads(report.read_text())
     assert rep["max_abs_deviation"] < 1e-12
     assert abs(rep["pearson_correlation"] - 1.0) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the row
+@pytest.mark.parametrize(
+    "nu, extra, code, message, pearson",
+    [
+        (math.sin, ["--grid-points", "1"], 1, "--grid-points must be at least 2", None),
+        (math.sin, ["--grid-points", "0"], 1, "--grid-points must be at least 2", None),
+        (lambda t: 0.5, [], 0, "", None),
+        (math.sin, ["--grid-points", "2"], 0, "", 1.0),
+    ],
+    ids=["one-grid-point", "zero-grid-points", "flat-nu-curve", "two-grid-points"],
+)
+def test_compare_degenerate_grids(nu, extra, code, message, pearson, tmp_path, capsys):
+    assert main(_write_curves(tmp_path, nu) + extra) == code
+    out, err = capsys.readouterr()
+    assert message in err and "Traceback" not in err
+    if code == 0:
+        rep = json.loads(out, parse_constant=_reject_constant)
+        got = rep["pearson_correlation"]
+        assert got is None if pearson is None else got == pytest.approx(pearson)
+    else:
+        assert out == "" and len(err.strip().splitlines()) == 1
 
 
 def test_murmur_insufficient_cache(tmp_path):
