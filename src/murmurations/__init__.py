@@ -12,7 +12,6 @@ from .arith import (
     build_factor_sieve,
     euler_constant_C,
     kronecker,
-    ramanujan_sum,
 )
 from .classnum import (
     ClassNumberTable,

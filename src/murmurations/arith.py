@@ -1,6 +1,6 @@
 """Exact integer number theory: smallest-prime-factor sieve, multiplicative
-functions, the Kronecker symbol, Ramanujan sums, and the analytic-conductor
-scale for even weights."""
+functions, the Kronecker symbol, and the analytic-conductor scale for even
+weights."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ __all__ = [
     "FactorSieve",
     "build_factor_sieve",
     "kronecker",
-    "ramanujan_sum",
     "euler_constant_C",
     "default_euler_constant",
     "digamma",
@@ -210,23 +209,6 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def ramanujan_sum(sieve: FactorSieve, q: int, t: int) -> int:
-    """c_q(t) = mu(q/g) phi(q) / phi(q/g) with g = gcd(q, t).
-
-    Equals the exponential sum over primitive residues a mod q of e(at/q).
-    """
-    if not 1 <= q <= sieve.bound:
-        raise ValueError(f"q={q} outside sieve range")
-    g = math.gcd(q, abs(t))
-    qg = q // g
-    mu = sieve.mobius(qg)
-    if mu == 0:
-        return 0
-    phi_q = sieve.euler_phi(q)
-    phi_qg = sieve.euler_phi(qg)
-    return mu * (phi_q // phi_qg)
-
-
 def euler_constant_C(prime_bound: int) -> float:
     """Truncated Euler product prod_{p <= bound} (1 - 1/((p-1)^2 (p+1))).
 
@@ -286,5 +268,11 @@ class AnalyticConductor:
 def analytic_conductor(k: float) -> AnalyticConductor:
     if k < 4:
         raise ValueError("weight must be at least 4")
-    n = (math.exp(digamma(k / 2.0)) / (2.0 * math.pi)) ** 2
+    try:
+        n = (math.exp(digamma(k / 2.0)) / (2.0 * math.pi)) ** 2
+    except OverflowError:
+        n = math.inf
+    # an infinite or NaN k, or one past about 1.1e155, has no float N
+    if not math.isfinite(n):
+        raise ValueError(f"the analytic conductor of weight {k} is not a finite float")
     return AnalyticConductor(k=k, N=n)

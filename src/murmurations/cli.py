@@ -31,11 +31,31 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+class _Refusal(Exception):
+    """A failure the command line names itself, with its exit code; ``main``
+    prints the message and returns the code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the float options: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _emit(text: str, path) -> None:
@@ -47,8 +67,7 @@ def _emit(text: str, path) -> None:
         with open(path, "w") as f:
             f.write(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        raise _Refusal(EXIT_IO, f"cannot write {path}: {exc}") from None
 
 
 def _emit_json(payload: dict, path) -> None:
@@ -56,30 +75,37 @@ def _emit_json(payload: dict, path) -> None:
     _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", path)
 
 
-# bytes per |D| <= bound: the int32 reduced-form counts alone, and with them
-# the int32 6H table, the float64 L(1) table and the int32 factor sieve of
-# n <= bound / 4, one byte per |D| (no run path reads the class numbers h,
-# which are derived only on demand)
+# bytes per table entry:
+# - sieve: the int32 reduced-form counts of each |D|;
+# - trace, murmur: those counts, the int32 6H table, the float64 L(1) table
+#   and the int32 factor sieve of n <= |D| / 4, one byte per |D| (no run path
+#   reads the class numbers h, which are derived only on demand);
+# - nu, propcircle: the int32 factor sieve of each q or t and its int8 mu,
+#   float64 coefficient and float64 f tables;
+# - propcircle's FFT grid of W-hat: each float64 sample, and the complex rfft
+#   of half as many entries
 _SIEVE_BYTES = 4
 _CONTEXT_BYTES = 4 + 4 + 8 + 1
+_MEASURE_BYTES = 4 + 1 + 8 + 8
+_GRID_BYTES = 8 + 8
 
 
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _require_memory(bound: int, bytes_per_entry: int) -> None:
-    """Refuse with the capacity exit code, before allocating, when the tables
-    for |D| <= bound cannot fit in physical memory."""
+def _require_memory(bound: float, bytes_per_entry: int) -> None:
+    """Refuse with the capacity exit code, before allocating, when tables
+    indexed 0..bound cannot fit in physical memory.  The bound may be a
+    float, even an infinite one, so that it is checked before ``int()``."""
     need = bytes_per_entry * (bound + 1)
     have = _physical_memory()
     if need > have:
-        print(
-            f"error: tables for |D| <= {bound} need {need} bytes, "
+        raise _Refusal(
+            EXIT_CAPACITY,
+            f"tables up to {bound} need {need} bytes, "
             f"more than the {have} bytes of physical memory",
-            file=sys.stderr,
         )
-        raise SystemExit(EXIT_CAPACITY)
 
 
 def _load_context(args, required_bound: int) -> TraceContext:
@@ -88,14 +114,11 @@ def _load_context(args, required_bound: int) -> TraceContext:
         try:
             table = load_class_numbers(args.cache)
         except OSError as exc:
-            print(f"error: cannot read cache: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_IO)
+            raise _Refusal(EXIT_IO, f"cannot read cache: {exc}") from None
         if table.bound < required_bound:
-            print(
-                f"error: cache bound {table.bound} below required {required_bound}",
-                file=sys.stderr,
+            raise _Refusal(
+                EXIT_CAPACITY, f"cache bound {table.bound} below required {required_bound}"
             )
-            raise SystemExit(EXIT_CAPACITY)
         _require_memory(table.bound, _CONTEXT_BYTES)
     else:
         table = sieve_class_numbers(max(required_bound, 16))
@@ -104,19 +127,17 @@ def _load_context(args, required_bound: int) -> TraceContext:
     return TraceContext(table=table, sieve=sieve)
 
 
-def cmd_sieve(args) -> int:
+def cmd_sieve(args) -> None:
     _require_memory(args.dmax, _SIEVE_BYTES)
     table = sieve_class_numbers(args.dmax)
     try:
         save_class_numbers(table, args.out)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _Refusal(EXIT_IO, f"cannot write {args.out}: {exc}") from None
     print(f"wrote class numbers for |D| <= {args.dmax} to {args.out}")
-    return EXIT_OK
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args) -> None:
     ctx = _load_context(args, 4 * args.nmax)
     rows = []
     for n in range(1, args.nmax + 1):
@@ -125,25 +146,23 @@ def cmd_trace(args) -> int:
         if args.verify and dimension_supported(args.k):
             want = oracle_trace(args.k, n)
             if want != tr:
-                print(f"error: oracle mismatch at n={n}: {tr} != {want}", file=sys.stderr)
-                return EXIT_VERIFY
+                raise _Refusal(EXIT_VERIFY, f"oracle mismatch at n={n}: {tr} != {want}")
         rows.append(f"{n}\t{tr}\t{_fmt(norm)}\n")
     _emit("".join(rows), args.out)
     if args.verify:
         print(f"verified against q-expansion oracle for k={args.k}", file=sys.stderr)
-    return EXIT_OK
 
 
-def _write_series_csv(path, series) -> None:
-    with open(path, "w") as f:
-        f.write("p,p_over_N,numerator_term,denominator_term,cumulative_r\n")
-        for n, x, num, den, r in zip(
-            series.n, series.x, series.numerator, series.denominator, series.cumulative
-        ):
-            f.write(f"{n},{_fmt(x)},{_fmt(num)},{_fmt(den)},{_fmt(r)}\n")
+def _series_csv(series) -> str:
+    rows = ["p,p_over_N,numerator_term,denominator_term,cumulative_r\n"]
+    for n, x, num, den, r in zip(
+        series.n, series.x, series.numerator, series.denominator, series.cumulative
+    ):
+        rows.append(f"{n},{_fmt(x)},{_fmt(num)},{_fmt(den)},{_fmt(r)}\n")
+    return "".join(rows)
 
 
-def cmd_murmur(args) -> int:
+def cmd_murmur(args) -> None:
     interval = Interval.parse(args.E)
     req = MurmurationRequest(
         delta=args.delta,
@@ -153,19 +172,10 @@ def cmd_murmur(args) -> int:
         weighting=args.weighting,
         summand_domain=args.domain,
     )
-    n = analytic_conductor(args.K).N
-    required = 4 * int(float(interval.hi) * n) + 4
-    try:
-        ctx = _load_context(args, required)
-        series = compute_series(req, ctx)
-    except TableBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    try:
-        _write_series_csv(args.out, series)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    reach = float(interval.hi) * analytic_conductor(args.K).N
+    _require_memory(4 * reach, _CONTEXT_BYTES)
+    series = compute_series(req, _load_context(args, 4 * int(reach) + 4))
+    _emit(_series_csv(series), args.out)
     summary = {
         "N": series.N,
         "K": args.K,
@@ -183,7 +193,6 @@ def cmd_murmur(args) -> int:
         },
     }
     _emit_json(summary, args.summary)
-    return EXIT_OK
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -198,12 +207,16 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(usage) from None
     if count < 1:
         raise ValueError(f"--grid count must be positive, got {count}")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ValueError(f"--grid ends must be finite, got {text!r}")
     return np.linspace(start, end, count)
 
 
-def cmd_nu(args) -> int:
+def cmd_nu(args) -> None:
     grid = _parse_grid(args.grid) if args.grid else None
-    sieve = build_factor_sieve(max(args.qmax, args.tmax or 1, 16))
+    size = max(args.qmax, args.tmax or 1, 16)
+    _require_memory(size, _MEASURE_BYTES)
+    sieve = build_factor_sieve(size)
     rows = []
     if grid is not None:
         for t in grid:
@@ -215,7 +228,7 @@ def cmd_nu(args) -> int:
         lines = ["t,nu_cumulative_rational,nu_cumulative_fourier_if_available"]
         lines += [f"{_fmt(t)},{_fmt(v)},{other}" for t, v, other in rows]
         _emit("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
+        return
     interval = Interval.parse(args.E)
     ev = evaluate_nu(interval, args.qmax, args.tmax, sieve, weight=args.weight)
     report = {
@@ -241,24 +254,22 @@ def cmd_nu(args) -> int:
         if unbounded:
             report[f"{kind}_tail_bound"] = None
     _emit_json(report, args.out)
-    return EXIT_OK
 
 
 def _read_csv(path, xcol, ycol):
     xs, ys = [], []
-    try:
-        with open(path) as f:
-            header = f.readline().strip().split(",")
-            xi, yi = header.index(xcol), header.index(ycol)
-            for line in f:
-                parts = line.strip().split(",")
-                if len(parts) <= max(xi, yi) or not parts[yi]:
-                    continue
-                xs.append(float(parts[xi]))
-                ys.append(float(parts[yi]))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+    with open(path) as f:
+        header = f.readline().strip().split(",")
+        for col in (xcol, ycol):
+            if col not in header:
+                raise ValueError(f"{path} has no column {col!r}")
+        xi, yi = header.index(xcol), header.index(ycol)
+        for line in f:
+            parts = line.strip().split(",")
+            if len(parts) <= max(xi, yi) or not parts[yi]:
+                continue
+            xs.append(float(parts[xi]))
+            ys.append(float(parts[yi]))
     return np.asarray(xs), np.asarray(ys)
 
 
@@ -269,20 +280,17 @@ def _step_sample(xs, ys, grid):
     return np.where(idx >= 0, ys[idx], 0.0)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> None:
     if args.grid_points < 2:
-        print("error: --grid-points must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(EXIT_USAGE, "--grid-points must be at least 2")
     mx, mr = _read_csv(args.murmur_csv, "p_over_N", "cumulative_r")
     nx, nv = _read_csv(args.nu_csv, "t", "nu_cumulative_rational")
     if mx.size == 0 or nx.size == 0:
-        print("error: empty input curves", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(EXIT_USAGE, "empty input curves")
     lo = max(mx.min(), nx.min())
     hi = min(mx.max(), nx.max())
     if not lo < hi:
-        print("error: curve ranges do not overlap", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(EXIT_USAGE, "curve ranges do not overlap")
     sign = -1.0 if args.delta else 1.0
     n = args.grid_points
     # the grid, then x = 2 when both curves reach it
@@ -304,11 +312,15 @@ def cmd_compare(args) -> int:
         "pearson_correlation": pearson,
     }
     _emit_json(report, args.out)
-    return EXIT_OK
 
 
-def cmd_propcircle(args) -> int:
-    sieve = build_factor_sieve(max(int(args.tmult * args.x) + 1, 16))
+def cmd_propcircle(args) -> None:
+    # the t-sum runs to tmult * x and reads the tables at q too; the grid has
+    # about tmult * x + max(tmult, 250) * x samples (``WindowFunction.hat_grid``)
+    t_span = args.tmult * args.x
+    _require_memory(max(t_span, args.q), _MEASURE_BYTES)
+    _require_memory(t_span + max(t_span, 250 * args.x), _GRID_BYTES)
+    sieve = build_factor_sieve(max(int(max(t_span, 0)) + 1, args.q, 16))
     window = make_window()
     chk = prop_circle_check(args.a, args.q, args.theta, args.x, window, sieve, t_mult=args.tmult)
     report = {
@@ -323,10 +335,9 @@ def cmd_propcircle(args) -> int:
         "hat_error": chk.hat_error,
     }
     _emit_json(report, args.out)
-    return EXIT_OK
 
 
-def cmd_window_selftest(args) -> int:
+def cmd_window_selftest(args) -> None:
     w = make_window()
     checks = []
     checks.append(("W(0) = 1", abs(w.value(0.0) - 1.0) < 1e-10))
@@ -348,14 +359,14 @@ def cmd_window_selftest(args) -> int:
         grid = w.hat_grid(x, int(t[-1]))[t]
         gap = float(np.max(np.abs(grid - w.hat_many(t / x))))
         checks.append((f"FFT grid = quadrature at x = {x:g}", gap < 1e-13))
-    ok = True
     for name, passed in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
-        ok &= passed
-    return EXIT_OK if ok else EXIT_USAGE
+    failed = [name for name, passed in checks if not passed]
+    if failed:
+        raise _Refusal(EXIT_VERIFY, f"window self-test failed: {'; '.join(failed)}")
 
 
-def main(argv=None) -> int:
+def _build_parser() -> _Parser:
     parser = _Parser(prog="murmur", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -373,8 +384,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("murmur", help="statistic run: per-prime CSV plus JSON summary")
-    p.add_argument("--K", type=float, required=True)
-    p.add_argument("--H", type=float, required=True)
+    p.add_argument("--K", type=_finite_float, required=True)
+    p.add_argument("--H", type=_finite_float, required=True)
     p.add_argument("--delta", type=int, choices=(0, 1), required=True)
     p.add_argument("--E", required=True, help="interval lo:hi, exact rationals allowed (1/4:4)")
     p.add_argument("--weighting", choices=("unit", "sqrt_p"), default="unit")
@@ -385,8 +396,9 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_murmur)
 
     p = sub.add_parser("nu", help="limit-measure evaluation or cumulative curve CSV")
-    p.add_argument("--E", help="interval lo:hi")
-    p.add_argument("--grid", help="cumulative grid start:end:count")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--E", help="interval lo:hi")
+    mode.add_argument("--grid", help="cumulative grid start:end:count")
     p.add_argument("--qmax", type=int, default=5000)
     p.add_argument("--tmax", type=int, default=None)
     p.add_argument("--weight", choices=("cubic", "quartic"), default="cubic")
@@ -404,28 +416,38 @@ def main(argv=None) -> int:
     p = sub.add_parser("propcircle", help="main-term check of the exponential sum")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--tmult", type=float, default=120.0)
+    p.add_argument("--theta", type=_finite_float, default=0.0)
+    p.add_argument("--x", type=_finite_float, required=True)
+    p.add_argument("--tmult", type=_finite_float, default=120.0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_propcircle)
 
     p = sub.add_parser("window-selftest", help="identity checks for the smooth window")
     p.set_defaults(func=cmd_window_selftest)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _build_parser()
+    # the one failure path: every error leaves here as one line and a code
     try:
         args = parser.parse_args(argv)
-        if args.command == "nu" and not args.grid and not args.E:
-            parser.error("nu needs --E or --grid")
-        return args.func(args)
-    except SystemExit as exc:
+        args.func(args)
+        return EXIT_OK
+    except SystemExit as exc:  # argparse, after _Parser.error or --help
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except _Refusal as exc:
+        code, message = exc.code, str(exc)
+    except TableBoundError as exc:  # a ValueError, so before ValueError
+        code, message = EXIT_CAPACITY, str(exc)
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        code, message = EXIT_CAPACITY, f"out of memory: {exc}"
+    except OSError as exc:
+        code, message = EXIT_IO, str(exc)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -57,7 +57,10 @@ class Interval:
     def _parse_endpoint(text: str) -> Fraction | float:
         text = text.strip()
         if _RATIONAL_RE.match(text):
-            return Fraction(text)
+            try:
+                return Fraction(text)
+            except ZeroDivisionError:
+                raise ValueError(f"interval endpoint {text!r} has a zero denominator") from None
         return float(text)
 
     @classmethod
@@ -514,9 +517,13 @@ def prop_circle_check(
         raise ValueError("q exceeds sieve bound")
     if x < 1:
         raise ValueError("x must be at least 1")
+    if not 1 <= t_mult * x < math.inf:
+        raise ValueError(
+            f"t_mult * x must be at least 1 and finite, got t_mult = {t_mult:g}, x = {x:g}"
+        )
     t_max = int(t_mult * x)
-    if t_max < 1:
-        raise ValueError(f"t_mult * x must be at least 1, got t_mult = {t_mult:g}, x = {x:g}")
+    if not math.isfinite(theta * t_max):
+        raise ValueError(f"theta * t_max must be finite, got theta = {theta:g}, t_max = {t_max}")
     _, coeff, f = sieve.multiplicative_tables(max(t_max, q))
     c = default_euler_constant()
     t = np.arange(1, t_max + 1, dtype=np.int64)

@@ -11,7 +11,6 @@ from murmurations.arith import (
     digamma,
     euler_constant_C,
     kronecker,
-    ramanujan_sum,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -143,25 +142,6 @@ def test_range_validation(sieve_1m):
         sieve_1m.factorize(0)
 
 
-def test_ramanujan_sum_closed_form_vs_direct(sieve_1m):
-    for q in range(1, 51):
-        for t in range(-50, 51):
-            z = sum(
-                complex(math.cos(2 * math.pi * a * t / q), math.sin(2 * math.pi * a * t / q))
-                for a in range(1, q + 1)
-                if math.gcd(a, q) == 1
-            )
-            assert abs(z.imag) < 1e-9
-            assert abs(ramanujan_sum(sieve_1m, q, t) - z.real) < 1e-8
-
-
-def test_ramanujan_sum_values(sieve_1m):
-    assert ramanujan_sum(sieve_1m, 6, 4) == -1
-    assert ramanujan_sum(sieve_1m, 4, 2) == -2
-    for q in (1, 2, 12, 30):
-        assert ramanujan_sum(sieve_1m, q, 0) == sieve_1m.euler_phi(q)
-
-
 def test_f_multiplicative(sieve_1m):
     f = sieve_1m.multiplicative_tables(30)[2]
     assert f[1] == 1.0
@@ -264,3 +244,11 @@ def test_analytic_conductor_3850_scale():
     assert 93000 < analytic_conductor(3850).N < 95000
     with pytest.raises(ValueError):
         analytic_conductor(2)
+
+
+@pytest.mark.parametrize("k", [math.inf, math.nan, 1e156, 1e308])
+def test_analytic_conductor_refuses_a_non_finite_N(k):
+    # N grows like (k / 4 pi)^2, past the largest float beyond k ~ 1.68e155
+    with pytest.raises(ValueError, match="not a finite float"):
+        analytic_conductor(k)
+    assert math.isfinite(analytic_conductor(1.6e155).N)

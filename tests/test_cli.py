@@ -1,5 +1,8 @@
+import argparse
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -229,6 +232,21 @@ def test_window_selftest():
     assert main(["window-selftest"]) == 0
 
 
+def test_window_selftest_failure_is_a_verification_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "poisson_weight_sum", lambda *args: 1.0)
+    assert main(["window-selftest"]) == 4
+    out, err = capsys.readouterr()
+    assert "FAIL  Poisson identity" in out
+    assert err == "error: window self-test failed: Poisson identity\n"
+
+
+def test_propcircle_q_beyond_t_max(capsys):
+    # t_max = 1200 < q: the tables must reach q as well
+    assert main(["propcircle", "--a", "1", "--q", "2003", "--x", "10"]) == 0
+    rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert rep["q"] == 2003 and rep["t_max"] == 1200 and math.isfinite(rep["lhs"])
+
+
 def test_usage_errors():
     assert main(["murmur", "--K", "100"]) == 1
     assert main(["nu"]) == 1
@@ -270,12 +288,40 @@ def test_io_error_paths(tmp_path):
          "t_mult * x must be at least 1"),
         (["nu", "--grid", "0:2:0"], 1, "--grid count must be positive"),
         (["nu", "--grid", "1:2"], 1, "--grid must look like 'start:end:count'"),
+        (["murmur", "--K", "inf", "--H", "10", "--delta", "0", "--E", "0:2",
+          "--out", "{tmp}/m.csv"], 1, "argument --K: expected a finite number"),
+        (["murmur", "--K", "1e308", "--H", "10", "--delta", "0", "--E", "0:2",
+          "--out", "{tmp}/m.csv"], 1, "not a finite float"),
+        (["propcircle", "--a", "1", "--q", "1", "--x", "inf"], 1,
+         "argument --x: expected a finite number"),
+        (["propcircle", "--a", "1", "--q", "1", "--x", "10", "--theta", "nan"], 1,
+         "argument --theta: expected a finite number"),
+        (["propcircle", "--a", "1", "--q", "1", "--x", "1e308", "--tmult=-1e308"], 1,
+         "t_mult * x must be at least 1 and finite"),
+        (["nu", "--E", "1/0:2"], 1, "zero denominator"),
+        pytest.param(["nu", "--grid", "0:1e400:3"], 1, "--grid ends must be finite",
+                     marks=pytest.mark.filterwarnings("error")),
+        (["compare", "--murmur-csv", "{tmp}/bare.csv", "--nu-csv", "{tmp}/bare.csv"], 1,
+         "bare.csv has no column 'p_over_N'"),
+        (["nu", "--E", "0:2", "--grid", "0:2:3"], 1, "not allowed with argument"),
+        # refused from the size estimate: build_factor_sieve would refuse these
+        # with 1 (beyond 32 bits), so a missing estimate fails the row at once
+        (["propcircle", "--a", "1", "--q", "3000000000", "--x", "10"], 3,
+         "bytes of physical memory"),
+        (["nu", "--E", "1/4:4", "--qmax", "3000000000"], 3, "bytes of physical memory"),
+        # the FFT grid of W-hat has about 250 x samples, whatever --tmult is
+        (["propcircle", "--a", "1", "--q", "1", "--x", "1e300", "--tmult", "1e-300"], 3,
+         "bytes of physical memory"),
     ],
     ids=[
         "murmur-unbounded-E", "nu-unbounded-E", "trace-unwritable-out",
         "trace-verify-mismatch", "murmur-beyond-memory", "sieve-beyond-memory",
         "propcircle-zero-tmult", "propcircle-negative-tmult", "nu-grid-zero-count",
-        "nu-grid-malformed",
+        "nu-grid-malformed", "murmur-infinite-K", "murmur-K-without-float-N",
+        "propcircle-infinite-x", "propcircle-nan-theta", "propcircle-t-span-minus-inf",
+        "nu-zero-denominator", "nu-grid-infinite-end", "compare-missing-column",
+        "nu-E-and-grid", "propcircle-q-beyond-memory", "nu-qmax-beyond-memory",
+        "propcircle-grid-beyond-memory",
     ],
 )
 def test_failure_exit_codes(argv, code, message, tmp_path, capsys, monkeypatch):
@@ -283,9 +329,93 @@ def test_failure_exit_codes(argv, code, message, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "oracle_trace", lambda k, n: -1)
     # a fixed 16 GiB, so the capacity rows do not depend on the host
     monkeypatch.setattr(cli, "_physical_memory", lambda: 16 << 30)
+    (tmp_path / "bare.csv").write_text("x,y\n1,2\n")
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
     out, err = capsys.readouterr()
     assert message in err and "Traceback" not in err
     if code == 0:
         rep = json.loads(out, parse_constant=_reject_constant)
         assert rep["fourier_form_value"] is None and rep["rational_form_value"] > 0
+    else:
+        # one error line; argparse's own usage errors print the usage first
+        assert len(err.splitlines()) == 1 or err.startswith("usage:")
+
+
+def _functions(tree):
+    """(qualified name, node) of each function and method of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _exits(node):
+    """A ``raise SystemExit`` or a call of ``sys.exit``."""
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "SystemExit"
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and (node.func.value.id, node.func.attr) == ("sys", "exit")
+    )
+
+
+def test_one_failure_path():
+    # main alone reports failures: only it and argparse's hook write an
+    # "error:" line, only the hook raises SystemExit, and commands return nothing
+    tree = ast.parse(Path(cli.__file__).read_text())
+    printers, exiters, returners = set(), set(), set()
+    for name, func in _functions(tree):
+        for node in ast.walk(func):
+            if isinstance(node, ast.Constant) and str(node.value).startswith("error:"):
+                printers.add(name)
+            if _exits(node):
+                exiters.add(name)
+            if isinstance(node, ast.Return) and node.value is not None:
+                returners.add(name)
+    assert printers == {"main", "_Parser.error"}
+    assert exiters == {"_Parser.error"}
+    assert not {name for name in returners if name.startswith("cmd_")}
+
+
+# each subcommand with float options: a valid call, and those options
+_FLOAT_OPTIONS = {
+    "murmur": (["murmur", "--K", "230", "--H", "30", "--delta", "0", "--E", "0:2",
+                "--out", "{tmp}/m.csv"], ["--K", "--H"]),
+    "propcircle": (["propcircle", "--a", "1", "--q", "4", "--x", "50", "--tmult", "60"],
+                   ["--theta", "--x", "--tmult"]),
+}
+
+
+def test_float_sweep_covers_every_float_option():
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = {}
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            assert action.type is not float, (command, action.option_strings)
+            if action.type is cli._finite_float:
+                found.setdefault(command, []).append(action.option_strings[0])
+    assert found == {command: options for command, (_, options) in _FLOAT_OPTIONS.items()}
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the row
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308", "0", "-1"])
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command, (_, options) in _FLOAT_OPTIONS.items() for option in options],
+    ids=lambda arg: arg.lstrip("-"),
+)
+def test_float_option_sweep(command, option, value, tmp_path, capsys, monkeypatch):
+    # 64 MiB: no row may allocate large tables
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 64 << 20)
+    base, _ = _FLOAT_OPTIONS[command]
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in base] + [f"{option}={value}"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in {0, 1, 2, 3, 4} and "Traceback" not in err
+    assert code == 0 or "error: " in err
