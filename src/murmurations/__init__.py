@@ -40,12 +40,12 @@ from .murmur import (
     compute_series,
     cumulative_curve,
     dimension_S_k,
-    integer_murmuration_nu,
 )
 from .nu import (
     Interval,
     NuEvaluation,
     evaluate_nu,
+    integer_murmuration_nu,
     nu_fourier,
     nu_rational,
     prop_circle_check,

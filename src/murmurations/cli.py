@@ -81,31 +81,58 @@ def _emit_json(payload: dict, path) -> None:
 #   and the int32 factor sieve of n <= |D| / 4, one byte per |D| (no run path
 #   reads the class numbers h, which are derived only on demand);
 # - nu, propcircle: the int32 factor sieve of each q or t and its int8 mu,
-#   float64 coefficient and float64 f tables;
-# - propcircle's FFT grid of W-hat: each float64 sample, and the complex rfft
-#   of half as many entries
+#   float64 coefficient and float64 f tables, which stay; the walk that
+#   builds them peaks at 75-84 bytes;
+# - nu's atom sum, per q: its own sieve and walk, the exact a-bounds and
+#   about 0.29 ln q + 0.85 divisor pairs with their zeta tails (220, 243
+#   and 275 bytes measured at q = 10^4, 10^5, 10^6);
+# - nu's Fourier sum, per t: taper, coefficients and integrals (43-50);
+# - propcircle, per t: the t and phase arrays and the products with the
+#   grid; per FFT grid sample: the float64 sample and the complex rfft of
+#   half as many, on a length next_fast_len rounds up; per node of the
+#   panel quadrature at the 33 probes (nu._HAT_PROBES): two float64 cosine
+#   entries per probe and the window values;
+# - and an allowance for the window's blocks of 4096 rows (about 10 MiB).
 _SIEVE_BYTES = 4
 _CONTEXT_BYTES = 4 + 4 + 8 + 1
 _MEASURE_BYTES = 4 + 1 + 8 + 8
-_GRID_BYTES = 8 + 8
+_WALK_BYTES = 88
+_ATOM_BYTES, _ATOM_LOG_BYTES = 120, 13
+_FOURIER_BYTES = 48
+_CHECK_BYTES = 32
+_GRID_BYTES = 18
+_PROBE_BYTES = 2 * 8 * 33 + 128
+_BLOCK_BYTES = 16 << 20
 
 
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _require_memory(bound: float, bytes_per_entry: int) -> None:
-    """Refuse with the capacity exit code, before allocating, when tables
-    indexed 0..bound cannot fit in physical memory.  The bound may be a
+def _require_bytes(need: float, what: str) -> None:
+    """Refuse with the capacity exit code, before allocating, when an
+    estimate of need bytes exceeds physical memory.  The estimate may be a
     float, even an infinite one, so that it is checked before ``int()``."""
-    need = bytes_per_entry * (bound + 1)
     have = _physical_memory()
     if need > have:
         raise _Refusal(
             EXIT_CAPACITY,
-            f"tables up to {bound} need {need} bytes, "
-            f"more than the {have} bytes of physical memory",
+            f"{what} need {need:.0f} bytes, more than the {have} bytes of physical memory",
         )
+
+
+def _require_memory(bound: float, bytes_per_entry: int) -> None:
+    """Refuse when tables indexed 0..bound cannot fit in physical memory."""
+    _require_bytes(bytes_per_entry * (bound + 1), f"tables up to {bound}")
+
+
+def _measure_bytes(size: float, q_max: float = 0, t_max: float = 0, extra: float = 0) -> float:
+    """Peak bytes of the nu and propcircle tables: the factor sieve to size
+    and its walk, or the kept tables plus the atom sum to q_max, the Fourier
+    sum to t_max and extra bytes, whichever is more."""
+    atoms = q_max * (_ATOM_BYTES + _ATOM_LOG_BYTES * math.log(max(q_max, 1)))
+    after = _MEASURE_BYTES * size + atoms + _FOURIER_BYTES * t_max + extra
+    return _BLOCK_BYTES + max(_WALK_BYTES * size, after)
 
 
 def _load_context(args, required_bound: int) -> TraceContext:
@@ -215,7 +242,7 @@ def _parse_grid(text: str) -> np.ndarray:
 def cmd_nu(args) -> None:
     grid = _parse_grid(args.grid) if args.grid else None
     size = max(args.qmax, args.tmax or 1, 16)
-    _require_memory(size, _MEASURE_BYTES)
+    _require_bytes(_measure_bytes(size, args.qmax, args.tmax or 0), f"tables up to {size}")
     sieve = build_factor_sieve(size)
     rows = []
     if grid is not None:
@@ -257,6 +284,8 @@ def cmd_nu(args) -> None:
 
 
 def _read_csv(path, xcol, ycol):
+    """Two columns as float arrays, skipping rows without a y; a cell that
+    is not a finite number is a usage error that names its place."""
     xs, ys = [], []
     with open(path) as f:
         header = f.readline().strip().split(",")
@@ -264,12 +293,15 @@ def _read_csv(path, xcol, ycol):
             if col not in header:
                 raise ValueError(f"{path} has no column {col!r}")
         xi, yi = header.index(xcol), header.index(ycol)
-        for line in f:
+        for line_no, line in enumerate(f, start=2):
             parts = line.strip().split(",")
             if len(parts) <= max(xi, yi) or not parts[yi]:
                 continue
-            xs.append(float(parts[xi]))
-            ys.append(float(parts[yi]))
+            for col, i, values in ((xcol, xi, xs), (ycol, yi, ys)):
+                try:
+                    values.append(_finite_float(parts[i]))
+                except argparse.ArgumentTypeError as exc:
+                    raise ValueError(f"{path} line {line_no}, column {col!r}: {exc}") from None
     return np.asarray(xs), np.asarray(ys)
 
 
@@ -316,10 +348,15 @@ def cmd_compare(args) -> None:
 
 def cmd_propcircle(args) -> None:
     # the t-sum runs to tmult * x and reads the tables at q too; the grid has
-    # about tmult * x + max(tmult, 250) * x samples (``WindowFunction.hat_grid``)
+    # at most (tmult + max(tmult, 250)) (x + 3) samples and the probes at
+    # most 16 (tmult + 5) nodes, 16 per panel (``WindowFunction.hat_grid``,
+    # ``hat_many``)
     t_span = args.tmult * args.x
-    _require_memory(max(t_span, args.q), _MEASURE_BYTES)
-    _require_memory(t_span + max(t_span, 250 * args.x), _GRID_BYTES)
+    size = max(t_span + 1, args.q, 16)
+    grid = (args.tmult + max(args.tmult, 250)) * (args.x + 3)
+    nodes = 16 * max(16, args.tmult + 5)
+    extra = _CHECK_BYTES * t_span + _GRID_BYTES * grid + _PROBE_BYTES * nodes
+    _require_bytes(_measure_bytes(size, extra=extra), f"tables up to {size:.0f}")
     sieve = build_factor_sieve(max(int(max(t_span, 0)) + 1, args.q, 16))
     window = make_window()
     chk = prop_circle_check(args.a, args.q, args.theta, args.x, window, sieve, t_mult=args.tmult)

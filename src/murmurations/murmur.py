@@ -1,12 +1,10 @@
 """The averaged-eigenvalue statistic over weight windows: per-prime numerator
-and denominator terms, cumulative scaled curves, and the integer-summation
-variant of the limit measure."""
+and denominator terms, and the cumulative scaled curves."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -20,7 +18,6 @@ __all__ = [
     "dimension_S_k",
     "compute_series",
     "cumulative_curve",
-    "integer_murmuration_nu",
 ]
 
 
@@ -199,29 +196,10 @@ def cumulative_curve(series: MurmurationSeries, grid) -> list[tuple[float, float
     grid = np.asarray(grid, dtype=np.float64)
     if np.any(np.diff(grid) <= 0) or np.any(grid <= 0):
         raise ValueError("grid must be strictly increasing and positive")
-    out = []
-    cn = np.cumsum(series.numerator)
-    cd = np.cumsum(series.denominator)
-    idx = np.searchsorted(series.x, grid, side="right") - 1
-    root_n = math.sqrt(series.N)
-    for t, i in zip(grid, idx):
-        if i < 0 or cd[i] == 0:
-            out.append((float(t), 0.0))
-        else:
-            out.append((float(t), float(t * root_n * cn[i] / cd[i])))
-    return out
-
-
-def integer_murmuration_nu(E: Interval, a_max: int) -> float:
-    """Integer-summation analogue of the limit measure: sum over a >= 1 with
-    a^-2 in E of a^-3, halving terms that sit exactly on an exact endpoint."""
-    if a_max < 1:
-        raise ValueError("a_max must be positive")
-    total = 0.0
-    for a in range(1, a_max + 1):
-        pos = E.locate(Fraction(1, a * a))
-        if pos == "in":
-            total += a**-3.0
-        elif pos in ("lo", "hi"):
-            total += 0.5 * a**-3.0
-    return total
+    # prefix sums with a leading 0, the sums over no point
+    cn = np.concatenate(([0.0], np.cumsum(series.numerator)))
+    cd = np.concatenate(([0.0], np.cumsum(series.denominator)))
+    idx = np.searchsorted(series.x, grid, side="right")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(cd[idx] != 0, grid * math.sqrt(series.N) * cn[idx] / cd[idx], 0.0)
+    return list(zip(grid.tolist(), r.tolist()))

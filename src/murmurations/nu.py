@@ -14,13 +14,14 @@ import numpy as np
 from scipy.special import sici
 
 from .arith import FactorSieve, build_factor_sieve, default_euler_constant
-from .window import WindowFunction, make_window
+from .window import WindowFunction, blockwise, make_window
 
 __all__ = [
     "Interval",
     "NuPart",
     "NuEvaluation",
     "nu_rational",
+    "integer_murmuration_nu",
     "nu_fourier",
     "evaluate_nu",
     "s_alpha_jump",
@@ -39,9 +40,11 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 class Interval:
     """Interval [lo, hi] in the normalized-prime variable y = p/N.
 
-    Endpoints given as ``Fraction`` are exact and can carry half-weighted
-    atoms of the singular measure; float endpoints are treated as irrational
-    (no atom ever sits exactly on them).
+    An atom (q/a)^2 on a ``Fraction`` endpoint is found in exact integers
+    and counts half.  A float endpoint places the atoms by q/sqrt(y) in
+    floats: an atom it hits, or comes within rounding of, counts in full or
+    not at all (0.25 holds 1/4 = (1/2)^2 in full as a lower endpoint), never
+    half.  Write the endpoint as a fraction to place its atoms exactly.
     """
 
     lo: Fraction | float
@@ -69,30 +72,6 @@ class Interval:
         if len(parts) != 2:
             raise ValueError(f"interval must look like 'lo:hi', got {text!r}")
         return cls(cls._parse_endpoint(parts[0]), cls._parse_endpoint(parts[1]))
-
-    @property
-    def lo_exact(self) -> bool:
-        return isinstance(self.lo, Fraction)
-
-    @property
-    def hi_exact(self) -> bool:
-        return isinstance(self.hi, Fraction)
-
-    @property
-    def width(self) -> float:
-        return float(self.hi) - float(self.lo)
-
-    def locate(self, y: Fraction) -> str:
-        """Position of an exact point: 'in', 'lo', 'hi', or 'out'."""
-        lo_cmp = y - self.lo if self.lo_exact else float(y) - float(self.lo)
-        hi_cmp = self.hi - y if self.hi_exact else float(self.hi) - float(y)
-        if self.lo_exact and lo_cmp == 0:
-            return "lo"
-        if self.hi_exact and hi_cmp == 0:
-            return "hi"
-        if lo_cmp > 0 and hi_cmp > 0:
-            return "in"
-        return "out"
 
 
 @dataclass
@@ -221,22 +200,15 @@ def _a_bound(q: np.ndarray, y: Fraction | float, upper: bool) -> tuple[np.ndarra
     return np.minimum(a, _A_CAP).astype(np.int64), on
 
 
-def nu_rational(
-    E: Interval, q_max: int, sieve: FactorSieve, weight: str = "cubic"
-) -> NuPart:
-    """Atom-sum form: (1/zeta(2)) sum over coprime a, q with (a/q)^-2 in E of
-    mu(q)^2/(phi(q)^2 sigma(q)) (q/a)^w, w = 3 (or 4 for the sqrt-weighted
-    variant); atoms exactly on an exact endpoint count half.
+def _atom_sum(E: Interval, q_max: int, w: int) -> tuple[float, list]:
+    """sum over coprime a, q <= q_max with (q/a)^2 in E of
+    mu(q)^2/(phi(q)^2 sigma(q)) (q/a)^w, halving the atoms that ``_a_bound``
+    puts on an endpoint, and those atoms as (a, q, side).
 
     For each squarefree q the a-range [a_lo, a_hi] is summed over a coprime
     to q as sum over d | q of mu(d) d^-w times two zeta tails, all q and d
     at once from the flattened divisor pairs.
     """
-    if q_max < 1:
-        raise ValueError("q_max must be positive")
-    if q_max > sieve.bound:
-        raise ValueError("q_max exceeds sieve bound")
-    w = {"cubic": 3, "quartic": 4}[weight]
     table = _squarefree_table(q_max)
     q, d, owner = table.q, table.d, table.owner
     a_lo, on_hi = _a_bound(q, E.hi, upper=False)
@@ -259,11 +231,34 @@ def nu_rational(
                 inner[i] -= 0.5 * (qi / a) ** w
                 atoms.append((a, qi, side))
     atoms.sort(key=lambda atom: (atom[1], atom[2] == "hi"))
+    return float(np.dot(table.coeff[q], inner)), atoms
+
+
+def nu_rational(
+    E: Interval, q_max: int, sieve: FactorSieve, weight: str = "cubic"
+) -> NuPart:
+    """Atom-sum form: (1/zeta(2)) sum over coprime a, q with (a/q)^-2 in E of
+    mu(q)^2/(phi(q)^2 sigma(q)) (q/a)^w, w = 3 (or 4 for the sqrt-weighted
+    variant); atoms exactly on an exact endpoint count half."""
+    if q_max < 1:
+        raise ValueError("q_max must be positive")
+    if q_max > sieve.bound:
+        raise ValueError("q_max exceeds sieve bound")
+    w = {"cubic": 3, "quartic": 4}[weight]
+    total, atoms = _atom_sum(E, q_max, w)
     return NuPart(
-        value=float(np.dot(table.coeff[q], inner)) / ZETA2,
+        value=total / ZETA2,
         tail_bound=_rational_tail_bound(E, w, q_max),
         endpoint_atoms=atoms,
     )
+
+
+def integer_murmuration_nu(E: Interval) -> float:
+    """Integer-summation analogue of the limit measure: sum over a >= 1 with
+    a^-2 in E of a^-3, an atom on an exact endpoint counting half.  It is the
+    q = 1 term of ``nu_rational``'s atom sum, times zeta(2), so the sum over
+    a is two exact zeta tails."""
+    return _atom_sum(E, 1, 3)[0]
 
 
 _SI_ASYMPTOTIC_SWITCH = 40.0
@@ -328,12 +323,7 @@ def _oscillatory_integrals(E: Interval, tmax: int, w: int) -> np.ndarray:
     s1, s2 = 1.0 / math.sqrt(v), 1.0 / math.sqrt(u)
     a = 2.0 * math.pi * np.arange(1, tmax + 1, dtype=np.float64)
     anti = _cubic_antiderivative if w == 3 else _quartic_antiderivative
-    out = np.empty(tmax)
-    block = 65536
-    for i in range(0, tmax, block):
-        ab = a[i : i + block]
-        out[i : i + block] = 2.0 * (anti(ab, s2) - anti(ab, s1))
-    return out
+    return blockwise(lambda ab: 2.0 * (anti(ab, s2) - anti(ab, s1)), a)
 
 
 # floor of the reported quadrature error of nu_fourier
@@ -358,9 +348,10 @@ def nu_fourier(
     The series converges only conditionally (its tail is a Fourier series
     with jumps), so a plain cutoff at t_max would leave an O(1/t_max)
     oscillatory remainder with a large constant whenever an endpoint of the
-    s = y^(-1/2) interval sits near a small-denominator rational.  Terms are
-    therefore tapered by the smooth window (full weight below t_max/2); the
-    smoothed remainder is governed only by atoms within ~1/t_max of the
+    s = y^(-1/2) interval sits near a small-denominator rational.  Term t is
+    therefore tapered by the smooth window, weight W(t/t_max): it falls from
+    1 at t = 0 through 0.877 at t_max/4 and 1/2 at t_max/2 to 0 at t_max.
+    The smoothed remainder is governed only by atoms within ~1/t_max of the
     endpoints.
     """
     if float(E.lo) <= 0:

@@ -29,16 +29,28 @@ _NODES16, _WEIGHTS16 = np.polynomial.legendre.leggauss(16)
 # evaluated to 40 digits, is 2.0e-16 at xi = 220 and 3.0e-17 at xi = 250.
 _HAT_NEGLIGIBLE_FREQ = 250.0
 
-# frequencies per cosine matrix in hat_many: each holds _HAT_BLOCK x nodes floats
-_HAT_BLOCK = 4096
+# rows per block of a (points x nodes) matrix: at 64 nodes the temporaries of
+# a block are about 10 MiB, whatever the number of points
+_BLOCK = 4096
 
 
-def _bump_integral(b):
-    """integral of exp(-1/(1-t^2)) over [-1, b], vectorized in b."""
-    b = np.asarray(b, dtype=np.float64)
+def blockwise(f, x) -> np.ndarray:
+    """f over the points x in blocks of _BLOCK, written into one float array
+    of x's shape; f maps a 1-d block of points to one value per point."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape)
+    flat, res = x.reshape(-1), out.reshape(-1)
+    for i in range(0, flat.size, _BLOCK):
+        res[i : i + _BLOCK] = f(flat[i : i + _BLOCK])
+    return out
+
+
+def _bump_integral(b: np.ndarray) -> np.ndarray:
+    """integral of exp(-1/(1-t^2)) over [-1, b] for each entry of a 1-d b;
+    it builds a (len(b) x 64) matrix, so callers go through ``blockwise``."""
     mid = (b - 1.0) / 2.0
     half = (b + 1.0) / 2.0
-    t = mid[..., None] + half[..., None] * _SUB
+    t = mid[:, None] + half[:, None] * _SUB
     v = np.zeros_like(t)
     inside = np.abs(t) < 1.0
     v[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
@@ -63,7 +75,7 @@ class WindowFunction:
         x = np.abs(np.asarray(x, dtype=np.float64))
         out = np.zeros_like(x)
         inside = x < 1.0
-        out[inside] = self.c * _bump_integral(1.0 - 2.0 * x[inside])
+        out[inside] = self.c * blockwise(_bump_integral, 1.0 - 2.0 * x[inside])
         return out
 
     def value(self, x: float) -> float:
@@ -78,21 +90,13 @@ class WindowFunction:
         reference evaluation; whole t/x grids come from ``hat_grid``.
         """
         xi = np.asarray(xi, dtype=np.float64)
-        if xi.size == 0:
-            return np.zeros(0)
-        n = max(16, int(math.ceil(np.abs(xi).max())) + 4)
+        n = max(16, int(math.ceil(np.abs(xi).max(initial=0.0))) + 4)
         edges = np.linspace(0.0, 1.0, n + 1)
         half = 0.5 / n
         u = ((edges[:-1] + edges[1:]) / 2.0)[:, None] + half * _NODES16[None, :]
         u = u.ravel()
         wq = np.tile(_WEIGHTS16 * half, n) * self.value_many(u)
-        out = np.empty(xi.shape, dtype=np.float64)
-        flat = xi.ravel()
-        res = out.ravel()
-        for i in range(0, flat.size, _HAT_BLOCK):
-            seg = flat[i : i + _HAT_BLOCK]
-            res[i : i + _HAT_BLOCK] = 2.0 * (np.cos(2.0 * np.pi * seg[:, None] * u) @ wq)
-        return out
+        return blockwise(lambda seg: 2.0 * (np.cos(2.0 * np.pi * seg[:, None] * u) @ wq), xi)
 
     def hat(self, xi: float) -> float:
         return float(self.hat_many(np.asarray([xi]))[0])
@@ -127,7 +131,7 @@ class WindowFunction:
 
 
 def make_window() -> WindowFunction:
-    c = 1.0 / float(_bump_integral(np.asarray(1.0)))
+    c = 1.0 / float(blockwise(_bump_integral, 1.0))
     return WindowFunction(c=c)
 
 

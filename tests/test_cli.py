@@ -2,11 +2,12 @@ import argparse
 import ast
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from murmurations import cli
+from murmurations import cli, nu
 from murmurations.cli import main
 from murmurations.classnum import load_class_numbers, sieve_class_numbers, save_class_numbers
 
@@ -304,6 +305,10 @@ def test_io_error_paths(tmp_path):
         (["compare", "--murmur-csv", "{tmp}/bare.csv", "--nu-csv", "{tmp}/bare.csv"], 1,
          "bare.csv has no column 'p_over_N'"),
         (["nu", "--E", "0:2", "--grid", "0:2:3"], 1, "not allowed with argument"),
+        (["compare", "--murmur-csv", "{tmp}/abc.csv", "--nu-csv", "{tmp}/good.csv"], 1,
+         "abc.csv line 3, column 'cumulative_r': expected a finite number, got 'abc'"),
+        (["compare", "--murmur-csv", "{tmp}/nan.csv", "--nu-csv", "{tmp}/good.csv"], 1,
+         "nan.csv line 2, column 'cumulative_r': expected a finite number, got 'nan'"),
         # refused from the size estimate: build_factor_sieve would refuse these
         # with 1 (beyond 32 bits), so a missing estimate fails the row at once
         (["propcircle", "--a", "1", "--q", "3000000000", "--x", "10"], 3,
@@ -320,7 +325,8 @@ def test_io_error_paths(tmp_path):
         "nu-grid-malformed", "murmur-infinite-K", "murmur-K-without-float-N",
         "propcircle-infinite-x", "propcircle-nan-theta", "propcircle-t-span-minus-inf",
         "nu-zero-denominator", "nu-grid-infinite-end", "compare-missing-column",
-        "nu-E-and-grid", "propcircle-q-beyond-memory", "nu-qmax-beyond-memory",
+        "nu-E-and-grid", "compare-non-numeric-cell", "compare-nan-cell",
+        "propcircle-q-beyond-memory", "nu-qmax-beyond-memory",
         "propcircle-grid-beyond-memory",
     ],
 )
@@ -330,6 +336,10 @@ def test_failure_exit_codes(argv, code, message, tmp_path, capsys, monkeypatch):
     # a fixed 16 GiB, so the capacity rows do not depend on the host
     monkeypatch.setattr(cli, "_physical_memory", lambda: 16 << 30)
     (tmp_path / "bare.csv").write_text("x,y\n1,2\n")
+    header = "p_over_N,cumulative_r,t,nu_cumulative_rational\n"
+    (tmp_path / "good.csv").write_text(header + "0.1,0.5,0.1,0.5\n0.2,0.6,0.2,0.6\n")
+    (tmp_path / "abc.csv").write_text(header + "0.1,0.5,0.1,0.5\n0.2,abc,0.2,0.6\n")
+    (tmp_path / "nan.csv").write_text(header + "0.1,nan,0.1,0.5\n0.2,0.6,0.2,0.6\n")
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
     out, err = capsys.readouterr()
     assert message in err and "Traceback" not in err
@@ -419,3 +429,34 @@ def test_float_option_sweep(command, option, value, tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert code in {0, 1, 2, 3, 4} and "Traceback" not in err
     assert code == 0 or "error: " in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nu", "--E", "1/4:4", "--qmax", "30000"],
+        ["nu", "--E", "1/4:4", "--qmax", "100000"],
+        ["nu", "--E", "1/4:4", "--qmax", "16", "--tmax", "250000"],
+        ["nu", "--E", "1/4:4", "--qmax", "16", "--tmax", "1000000"],
+        ["propcircle", "--a", "1", "--q", "1", "--x", "1000"],
+        ["propcircle", "--a", "1", "--q", "1", "--x", "10000"],
+        ["propcircle", "--a", "1", "--q", "1", "--x", "1", "--tmult", "4000"],
+    ],
+    ids=["nu-q-3e4", "nu-q-1e5", "nu-t-2.5e5", "nu-t-1e6", "propcircle-x-1e3",
+         "propcircle-x-1e4", "propcircle-tmult-4e3"],
+)
+def test_memory_estimate_covers_the_peak(argv, monkeypatch, capsys):
+    # the estimate the command checks, against the peak of its own run; the
+    # 16 MiB block allowance dominates the smaller size of each pair, so the
+    # larger one pins the per-entry bytes
+    needs = []
+    monkeypatch.setattr(cli, "_require_bytes", lambda need, what: needs.append(need))
+    nu._squarefree_table.cache_clear()
+    nu._taper.cache_clear()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= needs[0]

@@ -10,12 +10,11 @@ from murmurations.murmur import (
     compute_series,
     cumulative_curve,
     dimension_S_k,
-    integer_murmuration_nu,
 )
 from murmurations import murmur, trace
 from murmurations.arith import analytic_conductor
 from murmurations.classnum import sieve_class_numbers
-from murmurations.nu import Interval
+from murmurations.nu import Interval, integer_murmuration_nu
 from murmurations.qexp import oracle_trace
 from murmurations.trace import TableBoundError, progression_weights, trace_hecke
 
@@ -236,11 +235,9 @@ def test_table_bound_error(ctx_small):
 
 
 def test_integer_murmuration_nu_examples():
-    assert integer_murmuration_nu(Interval(Fraction(1, 4), Fraction(4)), 100) == 1.0625
-    assert integer_murmuration_nu(Interval(Fraction(2), Fraction(3)), 100) == 0.0
-    assert integer_murmuration_nu(Interval(Fraction(9, 10), Fraction(11, 10)), 100) == 1.0
-    with pytest.raises(ValueError):
-        integer_murmuration_nu(Interval(Fraction(1, 4), Fraction(4)), 0)
+    assert integer_murmuration_nu(Interval(Fraction(1, 4), Fraction(4))) == 1.0625
+    assert integer_murmuration_nu(Interval(Fraction(2), Fraction(3))) == 0.0
+    assert integer_murmuration_nu(Interval(Fraction(9, 10), Fraction(11, 10))) == 1.0
 
 
 def test_integer_domain_approaches_integer_nu(ctx_small):
@@ -251,7 +248,7 @@ def test_integer_domain_approaches_integer_nu(ctx_small):
     )
     series = compute_series(req, ctx_small)
     r = cumulative_curve(series, [4.0])[0][1]
-    assert abs(r - integer_murmuration_nu(E, 10**4)) < 0.05
+    assert abs(r - integer_murmuration_nu(E)) < 0.05
 
 
 def _hyperbolic_loop(ns, k_min, m):

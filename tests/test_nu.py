@@ -24,10 +24,10 @@ ZETA2 = math.pi**2 / 6
 
 def test_interval_parsing():
     e = Interval.parse("1/4:4")
-    assert e.lo == Fraction(1, 4) and e.lo_exact
-    assert e.hi == Fraction(4) and e.hi_exact
+    assert e.lo == Fraction(1, 4) and isinstance(e.lo, Fraction)
+    assert e.hi == Fraction(4) and isinstance(e.hi, Fraction)
     e = Interval.parse("0.25:4")
-    assert isinstance(e.lo, float) and not e.lo_exact
+    assert isinstance(e.lo, float)
     with pytest.raises(ValueError):
         Interval.parse("4:1")
     with pytest.raises(ValueError):
@@ -41,26 +41,21 @@ _exact_width = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_d
 _float = st.floats(min_value=0, max_value=1e6)
 
 
-@given(_exact, _exact_width, st.fractions(min_value=-10, max_value=3 * 10**6, max_denominator=10**7))
-def test_interval_parse_locate_roundtrip_exact(lo, width, y):
+@given(_exact, _exact_width)
+def test_interval_parse_roundtrip_exact(lo, width):
     hi = lo + width
     e = Interval.parse(f"{lo}:{hi}")
-    assert (e.lo, e.hi) == (lo, hi) and e.lo_exact and e.hi_exact
+    assert (e.lo, e.hi) == (lo, hi)
+    assert isinstance(e.lo, Fraction) and isinstance(e.hi, Fraction)
     assert Interval.parse(f"{e.lo}:{e.hi}") == e
-    assert e.locate(lo) == "lo" and e.locate(hi) == "hi"
-    assert e.locate(lo + width / 2) == "in"
-    want = "lo" if y == lo else "hi" if y == hi else "in" if lo < y < hi else "out"
-    assert e.locate(y) == want
 
 
 @given(_float, st.floats(min_value=1e-3, max_value=1e6))
-def test_interval_parse_locate_roundtrip_float(lo, width):
+def test_interval_parse_roundtrip_float(lo, width):
     hi = lo + width
     e = Interval.parse(f"{lo!r}:{hi!r}")
-    assert (e.lo, e.hi) == (lo, hi) and not e.lo_exact and not e.hi_exact
-    # a float endpoint is irrational: it carries no atom, so a point on it is out
-    assert e.locate(Fraction(lo)) == "out" and e.locate(Fraction(hi)) == "out"
-    assert e.locate((Fraction(lo) + Fraction(hi)) / 2) == "in"
+    assert (e.lo, e.hi) == (lo, hi)
+    assert isinstance(e.lo, float) and isinstance(e.hi, float)
 
 
 def _brute_nu(E_lo, E_hi, q_max, sieve, w=3, a_cap=4000):
@@ -91,6 +86,45 @@ def test_nu_rational_vs_bruteforce(sieve_1m):
         assert abs(got - want) < 1e-12
     atoms = nu_rational(E, 50, sieve_1m).endpoint_atoms
     assert (2, 1, "lo") in atoms and (1, 2, "hi") in atoms
+
+
+def _exact_atom_sum(lo, hi, q_max, sieve, w):
+    """The atom sum over squarefree q <= q_max and coprime a in exact
+    rationals, for 1/144 <= lo (so q/a >= 1/12), and the atoms on an endpoint
+    in nu_rational's order."""
+    total, atoms = Fraction(0), []
+    for q in range(1, q_max + 1):
+        if sieve.mobius(q) == 0:
+            continue
+        coeff = Fraction(1, sieve.euler_phi(q) ** 2 * sieve.sigma(q))
+        for a in range(1, 12 * q + 1):
+            y = Fraction(q * q, a * a)
+            if math.gcd(a, q) != 1 or not lo <= y <= hi:
+                continue
+            if y in (lo, hi):
+                total += coeff * Fraction(q, a) ** w / 2
+                atoms.append((a, q, "lo" if y == lo else "hi"))
+            else:
+                total += coeff * Fraction(q, a) ** w
+    return total, sorted(atoms, key=lambda atom: (atom[1], atom[2] == "hi"))
+
+
+# exact endpoints: atoms (q/a)^2 or plain fractions, in [1/144, 144]
+_atom_y = st.builds(lambda q, a: Fraction(q, a) ** 2, st.integers(1, 12), st.integers(1, 12))
+_plain_y = st.fractions(min_value=Fraction(1, 144), max_value=144, max_denominator=1000)
+
+
+@given(
+    st.lists(_atom_y | _plain_y, min_size=2, max_size=2, unique=True),
+    st.integers(1, 30),
+    st.sampled_from([3, 4]),
+)
+def test_nu_rational_exact_endpoints_vs_fraction_sum(sieve_1m, ends, q_max, w):
+    lo, hi = sorted(ends)
+    got = nu_rational(Interval(lo, hi), q_max, sieve_1m, weight={3: "cubic", 4: "quartic"}[w])
+    total, atoms = _exact_atom_sum(lo, hi, q_max, sieve_1m, w)
+    assert abs(got.value - float(total) / ZETA2) < 1e-12
+    assert got.endpoint_atoms == atoms
 
 
 def test_nu_rational_float_endpoints_vs_bruteforce(sieve_1m):
@@ -201,7 +235,7 @@ def test_rational_tail_bound_is_honest(sieve_1m):
 
 def test_nu_fourier_t_zero_term(sieve_1m):
     E = Interval(Fraction(1, 4), Fraction(4))
-    assert nu_fourier(E, 0, sieve_1m).value == 0.5 * E.width
+    assert nu_fourier(E, 0, sieve_1m).value == 0.5 * (4.0 - 0.25)
     with pytest.raises(ValueError):
         nu_fourier(Interval(Fraction(0), Fraction(2)), 100, sieve_1m)
 
