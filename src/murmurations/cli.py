@@ -357,7 +357,7 @@ def cmd_propcircle(args) -> None:
     nodes = 16 * max(16, args.tmult + 5)
     extra = _CHECK_BYTES * t_span + _GRID_BYTES * grid + _PROBE_BYTES * nodes
     _require_bytes(_measure_bytes(size, extra=extra), f"tables up to {size:.0f}")
-    sieve = build_factor_sieve(max(int(max(t_span, 0)) + 1, args.q, 16))
+    sieve = build_factor_sieve(int(size))
     window = make_window()
     chk = prop_circle_check(args.a, args.q, args.theta, args.x, window, sieve, t_mult=args.tmult)
     report = {

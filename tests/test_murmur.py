@@ -227,6 +227,19 @@ def test_cumulative_curve_empty_range(smoke_context):
         cumulative_curve(series, [-1.0, 0.5])
 
 
+def test_cumulative_curve_matches_point_loop(smoke_context):
+    # the per-point loop, same operation order: the values are bitwise equal
+    req = MurmurationRequest(delta=1, K=600.0, H=60.0, E=Interval(Fraction(0), Fraction(2)))
+    series = compute_series(req, smoke_context)
+    grid = np.concatenate(([1e-6], np.linspace(0.01, 3.0, 301)))
+    cn, cd = np.cumsum(series.numerator), np.cumsum(series.denominator)
+    want = []
+    for t, i in zip(grid, np.searchsorted(series.x, grid, side="right") - 1):
+        r = 0.0 if i < 0 or cd[i] == 0 else float(t * math.sqrt(series.N) * cn[i] / cd[i])
+        want.append((float(t), r))
+    assert cumulative_curve(series, grid) == want
+
+
 def test_table_bound_error(ctx_small):
     req = MurmurationRequest(delta=0, K=900.0, H=60.0, E=Interval(Fraction(0), Fraction(2)))
     with pytest.raises(TableBoundError) as info:
