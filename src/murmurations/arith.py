@@ -22,6 +22,11 @@ __all__ = [
 ]
 
 
+# q per block of FactorSieve._walk: the pass arrays of a block take about
+# 5 MB, so the walk peaks little above the 17 bytes per q of its tables
+_WALK_BLOCK = 1 << 16
+
+
 class FactorSieve:
     """Smallest-prime-factor table for 2..bound.
 
@@ -112,32 +117,39 @@ class FactorSieve:
     def _walk(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The multiplicative tables for q = 0..n, read-only.
 
-        Every q >= 2 walks down its smallest-prime-factor chain at once, one
-        prime per pass, so the primes of q arrive in ascending order: a prime
-        equal to the previous one zeroes mu, a new one flips mu and multiplies
-        the denominator phi^2 sigma by (p-1)^2 (p+1) and f by its factor.
+        Every q >= 2 of a block walks down its smallest-prime-factor chain at
+        once, one prime per pass, so the primes of q arrive in ascending
+        order: a prime equal to the previous one zeroes mu, a new one flips
+        mu and multiplies the denominator phi^2 sigma by (p-1)^2 (p+1) and f
+        by its factor.  The blocks of _WALK_BLOCK q keep the pass arrays and
+        the denominator small; each q goes through the same operations
+        whatever block it is in, so the tables do not depend on the size.
         """
         mu = np.ones(n + 1, dtype=np.int8)
-        den = np.ones(n + 1)
+        coeff = np.ones(n + 1)
         f = np.ones(n + 1)
-        q = np.arange(2, n + 1, dtype=np.int32)
-        rest = q.copy()
-        prev = np.zeros_like(q)
-        while q.size:
-            p = self.spf[rest]
-            rest //= p
-            repeat = p == prev
-            mu[q[repeat]] = 0
-            fresh = q[~repeat]
-            p64 = p[~repeat].astype(np.int64)  # p * p overflows int32
-            mu[fresh] *= -1
-            den[fresh] *= (p64 - 1.0) ** 2 * (p64 + 1.0)
-            f[fresh] *= 1.0 + 1.0 / (p64 * p64 - p64 - 1.0)
-            live = rest > 1
-            q, rest, prev = q[live], rest[live], p[live]
+        for lo in range(2, n + 1, _WALK_BLOCK):
+            rest = np.arange(lo, min(lo + _WALK_BLOCK, n + 1), dtype=np.int32)
+            mu_q, f_q = mu[lo : lo + rest.size], f[lo : lo + rest.size]
+            den = np.ones(rest.size)
+            i = np.arange(rest.size)  # offsets of the q still walking
+            prev = np.zeros_like(rest)
+            while i.size:
+                p = self.spf[rest]
+                rest //= p
+                repeat = p == prev
+                mu_q[i[repeat]] = 0
+                fresh = i[~repeat]
+                p64 = p[~repeat].astype(np.int64)  # p * p overflows int32
+                mu_q[fresh] *= -1
+                den[fresh] *= (p64 - 1.0) ** 2 * (p64 + 1.0)
+                f_q[fresh] *= 1.0 + 1.0 / (p64 * p64 - p64 - 1.0)
+                live = rest > 1
+                i, rest, prev = i[live], rest[live], p[live]
+            coeff[lo : lo + den.size] = np.where(mu_q != 0, 1.0 / den, 0.0)
         mu[0] = 0
-        f[0] = 0.0
-        tables = (mu, np.where(mu != 0, 1.0 / den, 0.0), f)
+        coeff[0] = f[0] = 0.0
+        tables = (mu, coeff, f)
         for table in tables:
             table.flags.writeable = False
         return tables

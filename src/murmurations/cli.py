@@ -78,11 +78,14 @@ def _emit_json(payload: dict, path) -> None:
 # bytes per table entry:
 # - sieve: the int32 reduced-form counts of each |D|;
 # - trace, murmur: those counts, the int32 6H table, the float64 L(1) table
-#   and the int32 factor sieve of n <= |D| / 4, one byte per |D| (no run path
+#   (divided in place in blocks, with no table-sized temporary) and the
+#   int32 factor sieve of n <= |D| / 4, one byte per |D| (no run path
 #   reads the class numbers h, which are derived only on demand);
-# - nu, propcircle: the int32 factor sieve of each q or t and its int8 mu,
-#   float64 coefficient and float64 f tables, which stay; the walk that
-#   builds them peaks at 75-84 bytes;
+# - nu, propcircle: the int32 factor sieve of each q or t, its int64 primes
+#   (under one byte per entry) and its int8 mu, float64 coefficient and
+#   float64 f tables, which stay; the walk builds them in blocks of 2^16 q,
+#   whose 5 MB the block allowance covers, so it peaks at the tables (26.2
+#   and 22.7 bytes per q measured with the sieve at 10^6 and 4*10^6);
 # - nu's atom sum, per q: its own sieve and walk, the exact a-bounds and
 #   about 0.29 ln q + 0.85 divisor pairs with their zeta tails (220, 243
 #   and 275 bytes measured at q = 10^4, 10^5, 10^6);
@@ -92,11 +95,11 @@ def _emit_json(payload: dict, path) -> None:
 #   half as many, on a length next_fast_len rounds up; per node of the
 #   panel quadrature at the 33 probes (nu._HAT_PROBES): two float64 cosine
 #   entries per probe and the window values;
-# - and an allowance for the window's blocks of 4096 rows (about 10 MiB).
+# - and an allowance for the blocks of the walk and the window's blocks of
+#   4096 rows (about 10 MiB).
 _SIEVE_BYTES = 4
 _CONTEXT_BYTES = 4 + 4 + 8 + 1
-_MEASURE_BYTES = 4 + 1 + 8 + 8
-_WALK_BYTES = 88
+_MEASURE_BYTES = 4 + 1 + 1 + 8 + 8
 _ATOM_BYTES, _ATOM_LOG_BYTES = 120, 13
 _FOURIER_BYTES = 48
 _CHECK_BYTES = 32
@@ -127,12 +130,11 @@ def _require_memory(bound: float, bytes_per_entry: int) -> None:
 
 
 def _measure_bytes(size: float, q_max: float = 0, t_max: float = 0, extra: float = 0) -> float:
-    """Peak bytes of the nu and propcircle tables: the factor sieve to size
-    and its walk, or the kept tables plus the atom sum to q_max, the Fourier
-    sum to t_max and extra bytes, whichever is more."""
+    """Peak bytes of the nu and propcircle tables: the factor sieve and the
+    kept tables to size, plus the atom sum to q_max, the Fourier sum to
+    t_max and extra bytes."""
     atoms = q_max * (_ATOM_BYTES + _ATOM_LOG_BYTES * math.log(max(q_max, 1)))
-    after = _MEASURE_BYTES * size + atoms + _FOURIER_BYTES * t_max + extra
-    return _BLOCK_BYTES + max(_WALK_BYTES * size, after)
+    return _BLOCK_BYTES + _MEASURE_BYTES * size + atoms + _FOURIER_BYTES * t_max + extra
 
 
 def _load_context(args, required_bound: int) -> TraceContext:

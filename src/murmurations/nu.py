@@ -11,7 +11,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import sici
 
 from .arith import FactorSieve, build_factor_sieve, default_euler_constant
 from .window import WindowFunction, blockwise, make_window
@@ -273,6 +272,9 @@ def _si_minus_half_pi(x: np.ndarray) -> np.ndarray:
     auxiliary asymptotic expansion Si = pi/2 - f cos - g sin is summed to its
     optimal truncation (error ~ e^-x).
     """
+    # imported here so that runs without the Fourier form do not load scipy.special
+    from scipy.special import sici
+
     out = np.empty_like(x)
     small = x < _SI_ASYMPTOTIC_SWITCH
     if small.any():
@@ -299,6 +301,9 @@ def _si_minus_half_pi(x: np.ndarray) -> np.ndarray:
 
 def _cubic_antiderivative(a: np.ndarray, s: float) -> np.ndarray:
     # antiderivative in s of cos(a s) / s^3, a vectorized
+    # imported here so that runs without the Fourier form do not load scipy.special
+    from scipy.special import sici
+
     x = a * s
     _, ci = sici(x)
     return -np.cos(x) / (2 * s * s) + a * np.sin(x) / (2 * s) - 0.5 * a * a * ci

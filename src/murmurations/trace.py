@@ -36,13 +36,20 @@ class TableBoundError(ValueError):
         super().__init__(f"{self._COVERS[table]} <= {available}, need {required}")
 
 
+# |D| per block of TraceContext.l1_array: the square roots of a block take
+# 512 KiB, where one array over the whole table took 6 MB at K = 3850
+_L1_BLOCK = 1 << 16
+
+
 @dataclass
 class TraceContext:
     """Shared state for trace evaluations.
 
     ``h6[n]`` holds 6 H(n) as int32, the Hurwitz class numbers of every
     n <= bound, built on construction; the elliptic-term Dirichlet values
-    L(1, psi_D) are materialized lazily from it as one float array.  The
+    L(1, psi_D) are materialized lazily from it as one float array, divided
+    in place block by block, so the build allocates no second array of the
+    table's size.  The
     factor sieve has to reach only the n of T_n.  ``elliptic_rows``
     keeps, for the life of the context, the read-only elliptic sums of both
     root-number classes that ``murmur.compute_series`` computed for each
@@ -73,15 +80,18 @@ class TraceContext:
         """L(1, psi_D) indexed by |D| for every D = 0, 1 mod 4, -bound <= D < 0.
 
         L(1, psi_D) = pi H(|D|) / sqrt|D| (Zagier), so one division of the
-        6 H table, built in place in the square-root array; entries at
-        |D| = 0 and at non-discriminants are 0.
+        6 H table, done in place in blocks of _L1_BLOCK entries, each by the
+        square roots of its own |D|; entries at |D| = 0 and at
+        non-discriminants are 0.
         """
         if self._l1 is None:
-            root = np.arange(self.table.bound + 1, dtype=np.float64)
-            root[0] = 1.0
-            np.sqrt(root, out=root)
             l1 = np.multiply(2.0 * math.pi / 12.0, self.h6, dtype=np.float64)
-            self._l1 = np.divide(l1, root, out=l1)
+            for lo in range(0, l1.size, _L1_BLOCK):
+                root = np.arange(lo, min(lo + _L1_BLOCK, l1.size), dtype=np.float64)
+                if lo == 0:
+                    root[0] = 1.0
+                l1[lo : lo + root.size] /= np.sqrt(root, out=root)
+            self._l1 = l1
         return self._l1
 
 

@@ -185,6 +185,20 @@ def test_multiplicative_tables_match_factorize(sieve_1m):
         tiny.multiplicative_tables(3)
 
 
+def test_multiplicative_tables_block_edges(sieve_1m):
+    # the walk runs q in blocks of 2^16 from q = 2: the q on either side of
+    # each edge against the one-q references, bitwise (phi^2 sigma < q^3 is
+    # an exact float here)
+    n = 3 * 2**16 + 4
+    mu, coeff, f = sieve_1m.multiplicative_tables(n)
+    for edge in (2 + 2**16, 2 + 2 * 2**16, 2 + 3 * 2**16):
+        for q in range(edge - 2, edge + 2):
+            want_mu = sieve_1m.mobius(q)
+            assert mu[q] == want_mu, q
+            assert coeff[q] == want_mu**2 / (sieve_1m.euler_phi(q) ** 2 * sieve_1m.sigma(q)), q
+            assert f[q] == _multiplicative_reference(sieve_1m, q)[2], q
+
+
 def test_multiplicative_tables_memo():
     # one sieve serves growing and shrinking requests from its kept tables;
     # each answer is bitwise the walk a fresh sieve makes for that n alone

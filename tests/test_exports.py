@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,3 +30,24 @@ def test_package_imports_are_exported():
         for alias in node.names:
             assert alias.name in module.__all__, (node.module, alias.name)
             assert getattr(murmurations, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+# runs in a fresh interpreter: this test process has already loaded
+# scipy.special (tests/test_window.py imports kv)
+_LAZY_SCIPY = """
+import sys
+from fractions import Fraction
+import murmurations, murmurations.cli
+print(sorted(m for m in ("scipy.special", "scipy.fft") if m in sys.modules))
+murmurations.nu_fourier(murmurations.Interval(Fraction(1, 4), Fraction(4)), 16,
+                        murmurations.build_factor_sieve(16))
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_import_leaves_scipy_special_and_fft_unloaded():
+    # only the Fourier form of nu loads scipy.special, and only hat_grid scipy.fft
+    src = str(Path(murmurations.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split("\n")[:2] == ["[]", "True"]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from murmurations.arith import build_factor_sieve
+from murmurations.classnum import sieve_class_numbers
 from murmurations.murmur import MurmurationRequest, compute_series, dimension_S_k
 from murmurations.nu import Interval
 from murmurations.qexp import oracle_trace
@@ -220,12 +221,24 @@ def test_table_bound_error_names_the_short_table(class_table_20k, sieve_1m):
         assert (info.value.table, str(info.value)) == (table, message)
 
 
-def test_l1_array_is_one_division_of_6h(desk_context):
-    # bitwise the expression with an int64 6H and a separate quotient
-    absd = np.arange(desk_context.table.bound + 1, dtype=np.float64)
+def _l1_one_shot(ctx):
+    # the expression with an int64 6H and a separate quotient, in one piece
+    absd = np.arange(ctx.table.bound + 1, dtype=np.float64)
     absd[0] = 1.0
-    want = (2.0 * math.pi / 12.0) * desk_context.h6.astype(np.int64) / np.sqrt(absd)
-    assert np.array_equal(desk_context.l1_array(), want)
+    return (2.0 * math.pi / 12.0) * ctx.h6.astype(np.int64) / np.sqrt(absd)
+
+
+def test_l1_array_is_one_division_of_6h(desk_context):
+    # bitwise, over the 12 blocks of the desk table
+    assert np.array_equal(desk_context.l1_array(), _l1_one_shot(desk_context))
+
+
+@pytest.mark.parametrize("bound", [1000, 2**16 - 1, 2**16, 2**16 + 1])
+def test_l1_array_block_edges(bound, sieve_1m):
+    # one block short, one block exactly, one and two entries into the next
+    ctx = TraceContext(table=sieve_class_numbers(bound), sieve=sieve_1m)
+    assert ctx.l1_array().size == bound + 1
+    assert np.array_equal(ctx.l1_array(), _l1_one_shot(ctx))
 
 
 def test_elliptic_sums_t0_term():
