@@ -123,7 +123,7 @@ class FactorSieve:
         mu and multiplies the denominator phi^2 sigma by (p-1)^2 (p+1) and f
         by its factor.  The blocks of _WALK_BLOCK q keep the pass arrays and
         the denominator small; each q goes through the same operations
-        whatever block it is in, so the tables do not depend on the size.
+        whatever block it is in, so the tables do not depend on the block size.
         """
         mu = np.ones(n + 1, dtype=np.int8)
         coeff = np.ones(n + 1)

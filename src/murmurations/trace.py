@@ -49,14 +49,13 @@ class TraceContext:
     n <= bound, built on construction; the elliptic-term Dirichlet values
     L(1, psi_D) are materialized lazily from it as one float array, divided
     in place block by block, so the build allocates no second array of the
-    table's size.  The
-    factor sieve has to reach only the n of T_n.  ``elliptic_rows``
-    keeps, for the life of the context, the read-only elliptic sums of both
-    root-number classes that ``murmur.compute_series`` computed for each
-    (K, H, E, summand domain), one float per summation point and class, so
-    the second class and the other weightings of a run read them instead
-    of running the kernel again.  Queries are pure: a stored row is what a
-    fresh context computes.
+    table's size.  The factor sieve has to reach only the n of T_n.
+    ``elliptic_rows`` keeps, for the life of the context, the read-only
+    elliptic sums of both root-number classes that ``murmur.compute_series``
+    computed for each (K, H, E, summand domain), one float per summation
+    point and class, so the second class and the other weightings of a run
+    read them instead of running the kernel again.  Queries are pure: a
+    stored row is what a fresh context computes.
     """
 
     table: ClassNumberTable
