@@ -93,10 +93,11 @@ def _emit_json(payload: dict, path) -> None:
 # - propcircle, per t: the t and phase arrays and the products with the
 #   grid; per FFT grid sample: the float64 sample and the complex rfft of
 #   half as many, on a length next_fast_len rounds up; per node of the
-#   panel quadrature at the 33 probes (nu._HAT_PROBES): two float64 cosine
-#   entries per probe and the window values;
-# - and an allowance for the blocks of the walk and the window's blocks of
-#   4096 rows (about 10 MiB).
+#   panel quadrature at the 33 probes (nu._HAT_PROBES): the nodes, their
+#   weights and the window values with their temporaries (49.5 bytes
+#   measured); and scipy.fft, which the FFT grid imports (14.5 MB);
+# - and an allowance for the blocks of the walk, the window's blocks of
+#   4096 rows (about 10 MiB) and hat_many's cosine blocks (1 MiB).
 _SIEVE_BYTES = 4
 _CONTEXT_BYTES = 4 + 4 + 8 + 1
 _MEASURE_BYTES = 4 + 1 + 1 + 8 + 8
@@ -104,7 +105,8 @@ _ATOM_BYTES, _ATOM_LOG_BYTES = 120, 13
 _FOURIER_BYTES = 48
 _CHECK_BYTES = 32
 _GRID_BYTES = 18
-_PROBE_BYTES = 2 * 8 * 33 + 128
+_PROBE_BYTES = 56
+_FFT_IMPORT_BYTES = 16 << 20
 _BLOCK_BYTES = 16 << 20
 
 
@@ -357,7 +359,7 @@ def cmd_propcircle(args) -> None:
     size = max(t_span + 1, args.q, 16)
     grid = (args.tmult + max(args.tmult, 250)) * (args.x + 3)
     nodes = 16 * max(16, args.tmult + 5)
-    extra = _CHECK_BYTES * t_span + _GRID_BYTES * grid + _PROBE_BYTES * nodes
+    extra = _CHECK_BYTES * t_span + _GRID_BYTES * grid + _PROBE_BYTES * nodes + _FFT_IMPORT_BYTES
     _require_bytes(_measure_bytes(size, extra=extra), f"tables up to {size:.0f}")
     sieve = build_factor_sieve(int(size))
     window = make_window()

@@ -178,6 +178,8 @@ def _rational_tail_bound(E: Interval, w: int, q_max: int) -> float:
 
 
 _ISQRT = np.frompyfunc(math.isqrt, 1, 1)
+# exact a-bounds run in int64 while q_max^2 y_den and y_num stay below this
+_INT64_EXACT = 1 << 62
 
 
 def _a_bound(q: np.ndarray, y: Fraction | float, upper: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -186,17 +188,40 @@ def _a_bound(q: np.ndarray, y: Fraction | float, upper: bool) -> tuple[np.ndarra
     and whether (q/a)^2 = y there.  An exact y is handled in integers, by
     comparing a^2 y_num with q^2 y_den."""
     if isinstance(y, Fraction):
-        target = q.astype(object) ** 2 * y.denominator
-        if upper:
-            a = _ISQRT(target // y.numerator)
-        else:
-            a = _ISQRT(-(-target // y.numerator) - 1) + 1
-        on = (a * a * y.numerator == target).astype(bool)
+        q_max = int(q.max(initial=0))
+        if q_max * q_max * y.denominator < _INT64_EXACT and y.numerator < _INT64_EXACT:
+            return _a_bound_int64(q, y, upper)
+        return _a_bound_object(q, y, upper)
+    a = q / math.sqrt(y)
+    a = np.floor(a) if upper else np.maximum(np.ceil(a), 1.0)
+    return np.minimum(a, _A_CAP).astype(np.int64), np.zeros(q.size, dtype=bool)
+
+
+def _a_bound_object(q: np.ndarray, y: Fraction, upper: bool) -> tuple[np.ndarray, np.ndarray]:
+    """_a_bound at an exact y in Python integers, for any size."""
+    target = q.astype(object) ** 2 * y.denominator
+    if upper:
+        a = _ISQRT(target // y.numerator)
     else:
-        a = q / math.sqrt(y)
-        a = np.floor(a) if upper else np.maximum(np.ceil(a), 1.0)
-        on = np.zeros(q.size, dtype=bool)
+        a = _ISQRT(-(-target // y.numerator) - 1) + 1
+    on = (a * a * y.numerator == target).astype(bool)
     return np.minimum(a, _A_CAP).astype(np.int64), on
+
+
+def _a_bound_int64(q: np.ndarray, y: Fraction, upper: bool) -> tuple[np.ndarray, np.ndarray]:
+    """_a_bound at an exact y in int64, when q^2 y_den and y_num are below
+    2^62: the same integer square roots isqrt(s), from the float sqrt and
+    one exact step down.  Rounding is monotone and a correctly rounded
+    sqrt(fl(r^2)) is r, so r^2 <= s < (r + 1)^2 gives a float floor of r or
+    r + 1, never r - 1."""
+    target = q.astype(np.int64) ** 2 * y.denominator
+    s = target // y.numerator if upper else -(-target // y.numerator) - 1
+    a = np.floor(np.sqrt(s.astype(np.float64))).astype(np.int64)
+    a -= a * a > s
+    if not upper:
+        a += 1
+    on = (target % y.numerator == 0) & (a * a == target // y.numerator)
+    return a, on
 
 
 def _atom_sum(E: Interval, q_max: int, w: int) -> tuple[float, list]:
@@ -224,11 +249,14 @@ def _atom_sum(E: Interval, q_max: int, w: int) -> tuple[float, list]:
     inner = np.where(nonempty, q.astype(np.float64) ** w * per_q, 0.0)
     atoms = []
     for side, a_edge, on in (("lo", a_hi, on_lo), ("hi", a_lo, on_hi)):
-        for i in np.flatnonzero(on & nonempty):
+        hit = np.flatnonzero(on & nonempty)
+        if not hit.size:
+            # a_hi is None when a is unbounded above
+            continue
+        for i in hit[np.gcd(a_edge[hit], q[hit]) == 1]:
             a, qi = int(a_edge[i]), int(q[i])
-            if math.gcd(a, qi) == 1:
-                inner[i] -= 0.5 * (qi / a) ** w
-                atoms.append((a, qi, side))
+            inner[i] -= 0.5 * (qi / a) ** w
+            atoms.append((a, qi, side))
     atoms.sort(key=lambda atom: (atom[1], atom[2] == "hi"))
     return float(np.dot(table.coeff[q], inner)), atoms
 

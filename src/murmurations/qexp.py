@@ -118,29 +118,19 @@ def _sigma_powers(precision: int, k: int) -> list[int]:
     return sigma
 
 
-def _euler_product(prec: int) -> IntegerPowerSeries:
-    # prod (1 - q^m) via the pentagonal number expansion
-    coeffs = [0] * prec
-    coeffs[0] = 1
-    j = 1
-    while True:
-        hit = False
-        for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
-            if g < prec:
-                coeffs[g] += (-1) ** j
-                hit = True
-        if not hit:
-            break
-        j += 1
-    return IntegerPowerSeries(coeffs, 0)
-
-
 def eta_power_24(precision: int) -> IntegerPowerSeries:
-    """q * prod (1 - q^m)^24 with coefficients through q^precision."""
+    """q * prod (1 - q^m)^24 with coefficients through q^precision, as q J^8
+    with Jacobi's prod (1 - q^m)^3 = J = sum_{j >= 0} (-1)^j (2j + 1)
+    q^(j(j+1)/2): three squarings."""
     if not 1 <= precision <= 10**4:
         raise ValueError("precision must be in [1, 10^4]")
-    p24 = _euler_product(precision).pow(24)
-    return IntegerPowerSeries([0] + p24.coeffs[: precision], 1)
+    coeffs = [0] * precision
+    j = 0
+    while j * (j + 1) // 2 < precision:
+        coeffs[j * (j + 1) // 2] = -(2 * j + 1) if j % 2 else 2 * j + 1
+        j += 1
+    j8 = IntegerPowerSeries(coeffs, 0).pow(8)
+    return IntegerPowerSeries([0] + j8.coeffs, 1)
 
 
 def eisenstein(k: int, precision: int) -> IntegerPowerSeries:

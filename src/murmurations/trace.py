@@ -94,22 +94,45 @@ class TraceContext:
         return self._l1
 
 
-def _lucas_u(t: int, n: int, m: int) -> int:
-    """U_m(t, n) = (rho^m - conj^m) / (rho - conj) for the roots of
-    X^2 - t X + n, so U_0 = 0, U_1 = 1, U_{j+1} = t U_j - n U_{j-1}.
+def _lucas_u(ts, n: int, m: int) -> list[int]:
+    """[U_m(t, n) for t in ts], U_m = (rho^m - conj^m) / (rho - conj) for the
+    roots of X^2 - t X + n, so U_0 = 0, U_1 = 1, U_{j+1} = t U_j - n U_{j-1}.
 
-    A doubling ladder over the bits of m on (U_j, V_j, n^j), V_j = rho^j +
-    conj^j: U_2j = U_j V_j, V_2j = V_j^2 - 2 n^j, and one step up is
-    U_{j+1} = (t U_j + V_j)/2, V_{j+1} = ((t^2 - 4n) U_j + t V_j)/2, both
-    exact since t U_j + V_j = 2 U_{j+1}.
+    A ladder over the bits of j = m // 2 on (V_i, V_{i+1}), V_i = rho^i +
+    conj^i, two full-size products per bit: V_2i = V_i^2 - 2 n^i,
+    V_2i+1 = V_i V_{i+1} - t n^i and V_2i+2 = V_{i+1}^2 - 2 n^(i+1).  The
+    powers n^i depend on n and m only and are shared by every t.  With
+    D = t^2 - 4n != 0, one last product gives U_2j = V_j (2 V_{j+1} - t V_j) / D
+    and U_2j+1 = V_j (t V_{j+1} - 2n V_j) / D - n^j, each division exact and
+    by a small integer; at D = 0, U_m = m (t/2)^(m-1).
     """
-    disc = t * t - 4 * n
-    u, v, q = 0, 2, 1
-    for bit in bin(m)[2:]:
-        u, v, q = u * v, v * v - 2 * q, q * q
+    if m == 0:
+        return [0 for _ in ts]
+    j = m // 2
+    # per bit of j: the bit, n^i and 2 n^i (bit 0) or 2 n^(i+1) (bit 1)
+    steps, q = [], 1
+    for bit in bin(j)[2:]:
         if bit == "1":
-            u, v, q = (t * u + v) // 2, (disc * u + t * v) // 2, q * n
-    return u
+            steps.append((True, q, 2 * q * n))
+            q = q * q * n
+        else:
+            steps.append((False, q, 2 * q))
+            q = q * q
+    out = []
+    for t in ts:
+        disc = t * t - 4 * n
+        if disc == 0:
+            out.append(m * (t // 2) ** (m - 1))
+            continue
+        v0, v1 = 2, t
+        for odd, qi, two_q in steps:
+            mid = v0 * v1 - t * qi
+            v0, v1 = (mid, v1 * v1 - two_q) if odd else (v0 * v0 - two_q, mid)
+        if m % 2:
+            out.append(v0 * ((t * v1 - 2 * n * v0) // disc) - q)
+        else:
+            out.append(v0 * ((2 * v1 - t * v0) // disc))
+    return out
 
 
 def trace_hecke(ctx: TraceContext, k: int, n: int) -> int:
@@ -129,8 +152,7 @@ def trace_hecke(ctx: TraceContext, k: int, n: int) -> int:
         twelfths += n ** (k // 2 - 1) * (k - 1)
     # elliptic terms over t^2 < 4n, symmetric in t for even k
     tmax = math.isqrt(4 * n - 1)
-    for t in range(0, tmax + 1):
-        u = _lucas_u(t, n, k - 1)
+    for t, u in enumerate(_lucas_u(range(tmax + 1), n, k - 1)):
         term = u * int(ctx.h6[4 * n - t * t])
         twelfths -= term if t == 0 else 2 * term
     # hyperbolic: (1/2) sum over d | n of min(d, n/d)^(k-1)

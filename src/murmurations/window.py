@@ -32,16 +32,20 @@ _HAT_NEGLIGIBLE_FREQ = 250.0
 # rows per block of a (points x nodes) matrix: at 64 nodes the temporaries of
 # a block are about 10 MiB, whatever the number of points
 _BLOCK = 4096
+# entries per block of hat_many's (frequencies x nodes) cosine matrix, 512 KiB
+# of float64; the circle check's 33 probes at t/x <= 120 (1 984 nodes) fit in
+# one block
+_HAT_ENTRIES = 1 << 16
 
 
-def blockwise(f, x) -> np.ndarray:
-    """f over the points x in blocks of _BLOCK, written into one float array
+def blockwise(f, x, rows: int = _BLOCK) -> np.ndarray:
+    """f over the points x in blocks of ``rows``, written into one float array
     of x's shape; f maps a 1-d block of points to one value per point."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape)
     flat, res = x.reshape(-1), out.reshape(-1)
-    for i in range(0, flat.size, _BLOCK):
-        res[i : i + _BLOCK] = f(flat[i : i + _BLOCK])
+    for i in range(0, flat.size, rows):
+        res[i : i + rows] = f(flat[i : i + rows])
     return out
 
 
@@ -96,7 +100,8 @@ class WindowFunction:
         u = ((edges[:-1] + edges[1:]) / 2.0)[:, None] + half * _NODES16[None, :]
         u = u.ravel()
         wq = np.tile(_WEIGHTS16 * half, n) * self.value_many(u)
-        return blockwise(lambda seg: 2.0 * (np.cos(2.0 * np.pi * seg[:, None] * u) @ wq), xi)
+        rows = max(1, _HAT_ENTRIES // u.size)
+        return blockwise(lambda seg: 2.0 * (np.cos(2.0 * np.pi * seg[:, None] * u) @ wq), xi, rows)
 
     def hat(self, xi: float) -> float:
         return float(self.hat_many(np.asarray([xi]))[0])

@@ -10,6 +10,9 @@ from hypothesis import given, strategies as st
 from murmurations.arith import build_factor_sieve, default_euler_constant
 from murmurations.nu import (
     Interval,
+    _a_bound,
+    _a_bound_int64,
+    _a_bound_object,
     _squarefree_table,
     evaluate_nu,
     nu_fourier,
@@ -155,6 +158,32 @@ def test_nu_rational_large_denominator_endpoints(sieve_1m):
     got = nu_rational(Interval(big, Fraction(4)), 100, sieve_1m)
     assert abs(got.value - _brute_nu(big, Fraction(4), 100, sieve_1m)) < 1e-12
     assert (2, 1, "lo") in got.endpoint_atoms and (1, 2, "hi") in got.endpoint_atoms
+
+
+def test_a_bound_int64_path_matches_object_path():
+    # both exact paths of nu._a_bound on seeded fractions, on q up to 10^4
+    # and on q near the int64 path's limit q^2 y_den < 2^62
+    rng = random.Random(23)
+    small = np.arange(1, 10**4 + 1, dtype=np.int64)
+    ys = [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(30)]
+    # squares (b/a)^2 put atoms on the endpoint at every q divisible by b
+    ys += [Fraction(b * b, a * a) for a, b in ((1, 2), (2, 1), (5, 3), (7, 11), (1, 1))]
+    atoms_near_limit = 0
+    for y in ys:
+        top = math.isqrt(((1 << 62) - 1) // y.denominator)
+        big = np.array(sorted({top, top - 1, *(rng.randint(top // 2, top) for _ in range(200))}))
+        for q in (small, big, big - big % math.isqrt(y.numerator)):
+            for upper in (True, False):
+                a, on = _a_bound_int64(q, y, upper)
+                a_obj, on_obj = _a_bound_object(q, y, upper)
+                assert a.dtype == np.int64 and np.array_equal(a, a_obj), (y, upper)
+                assert np.array_equal(on, on_obj), (y, upper)
+                got = _a_bound(q, y, upper)
+                assert np.array_equal(got[0], a) and np.array_equal(got[1], on)
+                atoms_near_limit += int(on.sum()) if q is not small else 0
+    assert atoms_near_limit > 0
+    a, on = _a_bound_int64(small, Fraction(9, 25), upper=True)
+    assert on.sum() == 10**4 // 3 and np.array_equal(a[on] * 3, small[on] * 5)
 
 
 def test_squarefree_table_vs_factorization(sieve_1m):

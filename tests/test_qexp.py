@@ -12,7 +12,7 @@ from murmurations.qexp import (
 
 
 def _naive_eta24(prec):
-    # direct polynomial arithmetic, no pentagonal shortcut
+    # direct polynomial arithmetic, no pentagonal or Jacobi shortcut
     poly = [1] + [0] * prec
     for m in range(1, prec + 1):
         out = list(poly)
@@ -44,9 +44,10 @@ def test_eta24_low_coefficients():
 
 
 def test_eta24_vs_naive_product():
-    d = eta_power_24(6)
-    naive = _naive_eta24(6)
-    assert [d[i] for i in range(7)] == naive[:7]
+    for prec in (6, 40):
+        d = eta_power_24(prec)
+        naive = _naive_eta24(prec)
+        assert [d[i] for i in range(prec + 1)] == naive[: prec + 1], prec
 
 
 def test_eta24_ramanujan_congruence():
