@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 from scipy.special import kv
@@ -139,3 +140,19 @@ def test_hat_small_xi_resolved(window):
     ref = window.hat_many(xs + [496.0])[: len(xs)]
     for x, want in zip(xs, ref):
         assert abs(window.hat(x) - want) <= 1e-14, x
+
+
+def test_hat_many_blocks_by_entries(window):
+    # 33 frequencies to 4000 have 64 064 nodes: the cosine matrix comes in
+    # blocks of at most 2^16 entries (here one row), so the peak is the
+    # nodes' arrays and the window's 4096-row value blocks, not 33 rows of
+    # cosines and their arguments (34 MB)
+    t = np.arange(0, 4001, 125)
+    tracemalloc.start()
+    try:
+        got = window.hat_many(t / 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert np.max(np.abs(got - window.hat_grid(1.0, 4000)[t])) <= 1e-13
