@@ -168,13 +168,28 @@ def cmd_sieve(args) -> None:
     print(f"wrote class numbers for |D| <= {args.dmax} to {args.out}")
 
 
+def _normalized(tr: int, k: int, n: int) -> float:
+    """tr / n^((k-1)/2); a trace beyond the float range goes through log|tr|."""
+    scale = 0.5 * (1 - k) * math.log(n)
+    try:
+        return tr * math.exp(scale)
+    except OverflowError:
+        norm = math.exp(math.log(abs(tr)) + scale)
+        return -norm if tr < 0 else norm
+
+
 def cmd_trace(args) -> None:
+    verify = args.verify and dimension_supported(args.k)
+    if verify and args.nmax >= 1:
+        # refuses an n beyond the oracle's reach before any trace is computed,
+        # and builds the whole series in one go
+        oracle_trace(args.k, args.nmax)
     ctx = _load_context(args, 4 * args.nmax)
     rows = []
     for n in range(1, args.nmax + 1):
         tr = trace_hecke(ctx, args.k, n)
-        norm = tr * math.exp(0.5 * (1 - args.k) * math.log(n)) if n > 1 else float(tr)
-        if args.verify and dimension_supported(args.k):
+        norm = _normalized(tr, args.k, n)
+        if verify:
             want = oracle_trace(args.k, n)
             if want != tr:
                 raise _Refusal(EXIT_VERIFY, f"oracle mismatch at n={n}: {tr} != {want}")

@@ -3,6 +3,13 @@ q-expansions built from the eta product and Eisenstein series.
 
 Deliberately self-contained (its own divisor sums, no sieve machinery) so it
 can validate the trace-formula module without shared code paths.
+
+`oracle_trace` reads its coefficients from one series per weight kept for the
+life of the process: the newform, or at k = 24 the basis pair (Delta E4^3,
+Delta E6^2).  A call that needs more than the stored precision rebuilds it at
+max(need, min(2 * built, 10^4)), so an ascending sweep to n costs about
+log2(n) builds; past 10^4 the builders refuse as before.  The builders
+themselves cache nothing, and no cached series leaves the module.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ __all__ = [
 # weights with dim S_k(1) = 1 and the (a, b) in Delta * E4^a * E6^b
 _NEWFORM_FACTORS = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
 _ZERO_DIM_WEIGHTS = {4, 6, 8, 10, 14}
+_MAX_PRECISION = 10**4
+# weight -> the series oracle_trace reads: (newform,), or (Delta E4^3, Delta E6^2) at 24
+_SERIES: dict[int, tuple[IntegerPowerSeries, ...]] = {}
 
 
 @dataclass
@@ -122,7 +132,7 @@ def eta_power_24(precision: int) -> IntegerPowerSeries:
     """q * prod (1 - q^m)^24 with coefficients through q^precision, as q J^8
     with Jacobi's prod (1 - q^m)^3 = J = sum_{j >= 0} (-1)^j (2j + 1)
     q^(j(j+1)/2): three squarings."""
-    if not 1 <= precision <= 10**4:
+    if not 1 <= precision <= _MAX_PRECISION:
         raise ValueError("precision must be in [1, 10^4]")
     coeffs = [0] * precision
     j = 0
@@ -172,6 +182,25 @@ def dimension_supported(k: int) -> bool:
     return k in _ZERO_DIM_WEIGHTS or k in _NEWFORM_FACTORS or k == 24
 
 
+def _series(k: int, need: int) -> tuple[IntegerPowerSeries, ...]:
+    """The stored series of weight k, rebuilt through at least q^need when short."""
+    stored = _SERIES.get(k)
+    built = stored[0].prec - 1 if stored else 0
+    if built >= need:
+        return stored
+    precision = max(need, min(2 * built, _MAX_PRECISION))
+    if k == 24:
+        delta = eta_power_24(precision)
+        stored = (
+            delta.mul(eisenstein(4, precision).pow(3)),
+            delta.mul(eisenstein(6, precision).pow(2)),
+        )
+    else:
+        stored = (newform_qexp(k, precision),)
+    _SERIES[k] = stored
+    return stored
+
+
 def oracle_trace(k: int, n: int) -> int:
     """Exact trace of T_n on S_k(1) from q-expansions.
 
@@ -184,13 +213,10 @@ def oracle_trace(k: int, n: int) -> int:
     if k in _ZERO_DIM_WEIGHTS:
         return 0
     if k in _NEWFORM_FACTORS:
-        return newform_qexp(k, n)[n]
+        return _series(k, n)[0][n]
     if k != 24:
         raise ValueError(f"weight {k} not supported by the q-expansion oracle")
-    prec = 2 * n + 1
-    delta = eta_power_24(prec)
-    g1 = delta.mul(eisenstein(4, prec).pow(3))
-    g2 = delta.mul(eisenstein(6, prec).pow(2))
+    g1, g2 = _series(24, 2 * n + 1)
     a2, b2 = g1[2], g2[2]
     # T_n g_i = alpha g1 + beta g2 is determined by the q^1, q^2 coefficients
     trace = Fraction(0)

@@ -80,6 +80,35 @@ def test_trace_verify_flag(tmp_path):
     assert main(["trace", "--k", "16", "--nmax", "30", "--verify", "--out", str(out)]) == 0
 
 
+def test_trace_at_large_weight_is_finite(tmp_path):
+    # at k = 1000 the traces pass the float range from n = 5 on
+    out = tmp_path / "trace.tsv"
+    assert main(["trace", "--k", "1000", "--nmax", "120", "--out", str(out)]) == 0
+    rows = [line.split("\t") for line in out.read_text().strip().splitlines()]
+    assert [int(r[0]) for r in rows] == list(range(1, 121))
+    dim = 1000 // 12
+    for n, tr, norm in rows:
+        n, tr, norm = int(n), int(tr), float(norm)
+        divisors = sum(1 for d in range(1, n + 1) if n % d == 0)
+        assert math.isfinite(norm) and abs(norm) <= dim * divisors * (1 + 1e-12), n
+        assert norm == 0 if tr == 0 else (norm < 0) == (tr < 0), n
+    assert abs(int(rows[0][1])) == dim
+
+
+@pytest.mark.parametrize("k, nmax", [(24, 5000), (12, 10**4 + 1)])
+def test_trace_verify_past_the_oracle_refuses_up_front(k, nmax, tmp_path, capsys, monkeypatch):
+    def no_trace(*args):
+        raise AssertionError("a trace was computed before the refusal")
+
+    monkeypatch.setattr(cli, "trace_hecke", no_trace)
+    out = tmp_path / "trace.tsv"
+    argv = ["trace", "--k", str(k), "--nmax", str(nmax), "--verify", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: precision must be in [1, 10^4]"]
+    assert not out.exists()
+
+
 def test_murmur_smoke_and_compare(tmp_path):
     cache = tmp_path / "cls.bin"
     csv = tmp_path / "m.csv"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from murmurations.qexp import (
     newform_qexp,
     oracle_trace,
 )
+from murmurations.trace import trace_hecke
 
 
 def _naive_eta24(prec):
@@ -110,6 +113,42 @@ def test_oracle_trace_values():
         oracle_trace(28, 2)
     with pytest.raises(ValueError):
         oracle_trace(24, 0)
+    # both refusals come before any series is built: a far n would hit the cap
+    with pytest.raises(ValueError, match="weight 28 not supported"):
+        oracle_trace(28, 10**6)
+    for k in (12, 24, 26):
+        with pytest.raises(ValueError, match="n must be positive"):
+            oracle_trace(k, 0)
+
+
+def _sweep(top, high, seed):
+    # descending, then shuffled, then ascending well past what the first two needed
+    shuffled = list(range(1, top + 1))
+    random.Random(seed).shuffle(shuffled)
+    return list(range(top, 0, -1)) + shuffled + list(range(1, high + 1))
+
+
+@pytest.mark.parametrize("k", [12, 16, 18, 20, 22, 26])
+def test_oracle_trace_in_any_order_reads_the_newform(k):
+    for n in _sweep(40, 300, k):
+        assert oracle_trace(k, n) == newform_qexp(k, n)[n], (k, n)
+
+
+def test_oracle_trace_24_in_any_order_matches_the_trace_formula(ctx_small):
+    for n in _sweep(60, 600, 24):
+        assert oracle_trace(24, n) == trace_hecke(ctx_small, 24, n), n
+
+
+def test_oracle_trace_refuses_past_the_precision_cap():
+    # k = 24 reads q^(2n): n = 5000 needs precision 10 001
+    with pytest.raises(ValueError, match="precision must be in"):
+        oracle_trace(24, 5000)
+    assert oracle_trace(12, 300) == newform_qexp(12, 300)[300]
+    # a stored series far below the cap still refuses, and is not cut short
+    with pytest.raises(ValueError, match="precision must be in"):
+        oracle_trace(12, 10**4 + 1)
+    assert oracle_trace(24, 3) == 339480
+    assert oracle_trace(12, 10**4) == newform_qexp(12, 10**4)[10**4]
 
 
 def test_series_multiplication_consistency():
