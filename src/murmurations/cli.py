@@ -16,7 +16,7 @@ from .arith import analytic_conductor, build_factor_sieve
 from .classnum import load_class_numbers, save_class_numbers, sieve_class_numbers
 from .murmur import MurmurationRequest, compute_series
 from .nu import Interval, evaluate_nu, nu_rational, prop_circle_check
-from .qexp import dimension_supported, oracle_trace
+from .qexp import oracle_trace
 from .trace import TableBoundError, TraceContext, trace_hecke
 from .window import cosine_progression_sum, make_window, poisson_weight_sum
 
@@ -179,17 +179,16 @@ def _normalized(tr: int, k: int, n: int) -> float:
 
 
 def cmd_trace(args) -> None:
-    verify = args.verify and dimension_supported(args.k)
-    if verify and args.nmax >= 1:
-        # refuses an n beyond the oracle's reach before any trace is computed,
-        # and builds the whole series in one go
-        oracle_trace(args.k, args.nmax)
+    if args.verify:
+        # refuses a weight or an n beyond the oracle's reach before any trace
+        # is computed, and builds the whole series in one go
+        oracle_trace(args.k, max(args.nmax, 1))
     ctx = _load_context(args, 4 * args.nmax)
     rows = []
     for n in range(1, args.nmax + 1):
         tr = trace_hecke(ctx, args.k, n)
         norm = _normalized(tr, args.k, n)
-        if verify:
+        if args.verify:
             want = oracle_trace(args.k, n)
             if want != tr:
                 raise _Refusal(EXIT_VERIFY, f"oracle mismatch at n={n}: {tr} != {want}")

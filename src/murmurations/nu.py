@@ -485,8 +485,12 @@ def s_alpha_fourier(alpha: Fraction | float, t_max: int, sieve: FactorSieve) -> 
         raise ValueError("t_max must be positive")
     t = np.arange(1, t_max + 1, dtype=np.float64)
     if isinstance(alpha, Fraction):
-        q = alpha.denominator
-        residues = (np.arange(1, t_max + 1, dtype=np.int64) * alpha.numerator) % q
+        q, a = alpha.denominator, alpha.numerator % alpha.denominator
+        if t_max * q < 2**63:
+            residues = (np.arange(1, t_max + 1, dtype=np.int64) * a) % q
+        else:
+            # t a would wrap in int64: the residues in Python integers
+            residues = np.array([t * a % q for t in range(1, t_max + 1)], dtype=np.float64)
         phase = 2.0 * math.pi * residues / q
     else:
         phase = 2.0 * math.pi * float(alpha) * t
@@ -552,7 +556,7 @@ def prop_circle_check(
     c = default_euler_constant()
     t = np.arange(1, t_max + 1, dtype=np.int64)
     # reduce the rational part of alpha exactly; only theta t needs floats
-    phase = 2.0 * math.pi * (((a * t) % q) / float(q) + theta * t)
+    phase = 2.0 * math.pi * ((((a % q) * t) % q) / float(q) + theta * t)
     what = window.hat_grid(x, t_max)
     lhs = c * (
         sieve.f_zero() + 2.0 * float(np.dot(f[1 : t_max + 1] * np.cos(phase), what[1:]))

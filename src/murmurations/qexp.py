@@ -5,8 +5,8 @@ Deliberately self-contained (its own divisor sums, no sieve machinery) so it
 can validate the trace-formula module without shared code paths.
 
 `oracle_trace` reads its coefficients from one series per weight kept for the
-life of the process: the newform, or at k = 24 the basis pair (Delta E4^3,
-Delta E6^2).  A call that needs more than the stored precision rebuilds it at
+life of the process: the newform, or at k = 24 the pair (Delta E4^3,
+Delta^2).  A call that needs more than the stored precision rebuilds it at
 max(need, min(2 * built, 10^4)), so an ascending sweep to n costs about
 log2(n) builds; past 10^4 the builders refuse as before.  The builders
 themselves cache nothing, and no cached series leaves the module.
@@ -14,9 +14,7 @@ themselves cache nothing, and no cached series leaves the module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "IntegerPowerSeries",
@@ -24,28 +22,24 @@ __all__ = [
     "eisenstein",
     "newform_qexp",
     "oracle_trace",
-    "hecke_coefficient",
-    "dimension_supported",
 ]
 
 # weights with dim S_k(1) = 1 and the (a, b) in Delta * E4^a * E6^b
 _NEWFORM_FACTORS = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
-_ZERO_DIM_WEIGHTS = {4, 6, 8, 10, 14}
+_ZERO_DIM_WEIGHTS = {2, 4, 6, 8, 10, 14}
 _MAX_PRECISION = 10**4
-# weight -> the series oracle_trace reads: (newform,), or (Delta E4^3, Delta E6^2) at 24
+# weight -> the series oracle_trace reads: (newform,), or (Delta E4^3, Delta^2) at 24
 _SERIES: dict[int, tuple[IntegerPowerSeries, ...]] = {}
 
 
 @dataclass
 class IntegerPowerSeries:
-    """Truncated integer power series; coeffs[i] is the q^i coefficient.
-
-    Exponents 0..prec-1 are known; offset records the first structurally
-    nonzero exponent.  Python integers keep every coefficient exact.
+    """Truncated integer power series; coeffs[i] is the q^i coefficient for
+    the known exponents 0..prec-1.  Python integers keep every coefficient
+    exact.
     """
 
     coeffs: list[int]
-    offset: int = 0
 
     @property
     def prec(self) -> int:
@@ -59,17 +53,12 @@ class IntegerPowerSeries:
     def mul(self, other: "IntegerPowerSeries") -> "IntegerPowerSeries":
         """Truncated product by Kronecker substitution: each series becomes
         one integer, its digits in base X = 2^(8w), and one big-integer
-        product gives every coefficient.  Coefficients below an offset are
-        structurally zero and are not read."""
-        n = min(self.prec + other.offset, other.prec + self.offset)
-        offset = self.offset + other.offset
-        length = n - offset
-        if length <= 0:
-            return IntegerPowerSeries([0] * n, offset)
-        a = self.coeffs[self.offset : self.offset + length]
-        b = other.coeffs[other.offset : other.offset + length]
-        bits_a = max(map(abs, a)).bit_length()
-        bits_b = bits_a if other is self else max(map(abs, b)).bit_length()
+        product gives every coefficient through the lower precision."""
+        length = min(self.prec, other.prec)
+        a = self.coeffs[:length]
+        b = other.coeffs[:length]
+        bits_a = max(map(abs, a), default=0).bit_length()
+        bits_b = bits_a if other is self else max(map(abs, b), default=0).bit_length()
         # every product digit, a sum of at most `length` terms, stays below X/2
         w = (bits_a + bits_b + length.bit_length() + 2 + 7) // 8
         half = 1 << (8 * w - 1)
@@ -81,41 +70,25 @@ class IntegerPowerSeries:
         digits = [
             int.from_bytes(packed[i : i + w], "little") - half for i in range(0, w * length, w)
         ]
-        return IntegerPowerSeries([0] * offset + digits, offset)
+        return IntegerPowerSeries(digits)
 
     def pow(self, e: int) -> "IntegerPowerSeries":
         if e == 0:
-            return IntegerPowerSeries([1] + [0] * (self.prec - 1), 0)
+            return IntegerPowerSeries([1] + [0] * (self.prec - 1))
         result = None
         base = self
         while True:
             if e & 1:
-                result = _structural(base) if result is None else result.mul(base)
+                result = IntegerPowerSeries(base.coeffs[:]) if result is None else result.mul(base)
             e >>= 1
             if not e:
                 return result
             base = base.mul(base)
 
-    def scale(self, k: int) -> "IntegerPowerSeries":
-        return IntegerPowerSeries([k * a for a in self.coeffs], self.offset)
-
-    def sub(self, other: "IntegerPowerSeries") -> "IntegerPowerSeries":
-        n = min(self.prec, other.prec)
-        return IntegerPowerSeries(
-            [self.coeffs[i] - other.coeffs[i] for i in range(n)],
-            min(self.offset, other.offset),
-        )
-
 
 def _pack(coeffs: list[int], w: int, half: int) -> int:
-    """sum (c_i + half) X^i, X = 2^(8w): each offset digit is w unsigned bytes."""
+    """sum (c_i + half) X^i, X = 2^(8w): each shifted digit is w unsigned bytes."""
     return int.from_bytes(b"".join([(c + half).to_bytes(w, "little") for c in coeffs]), "little")
-
-
-def _structural(series: IntegerPowerSeries) -> IntegerPowerSeries:
-    """A copy with the coefficients below the offset zeroed, as a product has them."""
-    o = series.offset
-    return IntegerPowerSeries([0] * min(o, series.prec) + series.coeffs[o:], o)
 
 
 def _sigma_powers(precision: int, k: int) -> list[int]:
@@ -139,8 +112,7 @@ def eta_power_24(precision: int) -> IntegerPowerSeries:
     while j * (j + 1) // 2 < precision:
         coeffs[j * (j + 1) // 2] = -(2 * j + 1) if j % 2 else 2 * j + 1
         j += 1
-    j8 = IntegerPowerSeries(coeffs, 0).pow(8)
-    return IntegerPowerSeries([0] + j8.coeffs, 1)
+    return IntegerPowerSeries([0] + IntegerPowerSeries(coeffs).pow(8).coeffs)
 
 
 def eisenstein(k: int, precision: int) -> IntegerPowerSeries:
@@ -151,7 +123,7 @@ def eisenstein(k: int, precision: int) -> IntegerPowerSeries:
     else:
         raise ValueError("only Eisenstein weights 4 and 6 are provided")
     coeffs = [1] + [mult * s for s in _sigma_powers(precision, power)[1:]]
-    return IntegerPowerSeries(coeffs, 0)
+    return IntegerPowerSeries(coeffs)
 
 
 def newform_qexp(k: int, precision: int) -> IntegerPowerSeries:
@@ -165,21 +137,7 @@ def newform_qexp(k: int, precision: int) -> IntegerPowerSeries:
         series = series.mul(eisenstein(4, precision).pow(a))
     if b:
         series = series.mul(eisenstein(6, precision).pow(b))
-    return IntegerPowerSeries(series.coeffs[: precision + 1], 1)
-
-
-def hecke_coefficient(series: IntegerPowerSeries, n: int, k: int, m: int) -> int:
-    """q^m coefficient of T_n applied to the series (weight k action)."""
-    g = math.gcd(n, m)
-    total = 0
-    for d in range(1, g + 1):
-        if g % d == 0:
-            total += d ** (k - 1) * series[n * m // (d * d)]
-    return total
-
-
-def dimension_supported(k: int) -> bool:
-    return k in _ZERO_DIM_WEIGHTS or k in _NEWFORM_FACTORS or k == 24
+    return series
 
 
 def _series(k: int, need: int) -> tuple[IntegerPowerSeries, ...]:
@@ -191,10 +149,7 @@ def _series(k: int, need: int) -> tuple[IntegerPowerSeries, ...]:
     precision = max(need, min(2 * built, _MAX_PRECISION))
     if k == 24:
         delta = eta_power_24(precision)
-        stored = (
-            delta.mul(eisenstein(4, precision).pow(3)),
-            delta.mul(eisenstein(6, precision).pow(2)),
-        )
+        stored = (delta.mul(eisenstein(4, precision).pow(3)), delta.mul(delta))
     else:
         stored = (newform_qexp(k, precision),)
     _SERIES[k] = stored
@@ -205,8 +160,10 @@ def oracle_trace(k: int, n: int) -> int:
     """Exact trace of T_n on S_k(1) from q-expansions.
 
     Zero-dimensional weights give 0; one-dimensional weights read the
-    newform coefficient; k = 24 takes the matrix trace of T_n on the basis
-    {Delta E4^3, Delta E6^2} computed coefficient-wise.
+    newform coefficient.  At k = 24, g1 = Delta E4^3 and Delta^2 give the
+    echelon basis h1 = g1 - g1[2] Delta^2 = q + O(q^3), h2 = Delta^2 =
+    q^2 + O(q^3), and tr T_n = a_1(T_n h1) + a_2(T_n h2), where
+    a_m(T_n f) = sum_{d | (n, m)} d^23 f[nm/d^2].
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -216,17 +173,8 @@ def oracle_trace(k: int, n: int) -> int:
         return _series(k, n)[0][n]
     if k != 24:
         raise ValueError(f"weight {k} not supported by the q-expansion oracle")
-    g1, g2 = _series(24, 2 * n + 1)
-    a2, b2 = g1[2], g2[2]
-    # T_n g_i = alpha g1 + beta g2 is determined by the q^1, q^2 coefficients
-    trace = Fraction(0)
-    for g in (g1, g2):
-        c1 = hecke_coefficient(g, n, 24, 1)
-        c2 = hecke_coefficient(g, n, 24, 2)
-        if g is g1:
-            trace += Fraction(c2 - c1 * b2, a2 - b2)
-        else:
-            trace += Fraction(c1 * a2 - c2, a2 - b2)
-    if trace.denominator != 1:
-        raise ArithmeticError(f"non-integral trace {trace} for k=24, n={n}")
-    return int(trace)
+    g1, d2 = _series(24, 2 * n + 1)
+    trace = g1[n] - g1[2] * d2[n] + d2[2 * n]
+    if n % 2 == 0:
+        trace += 2**23 * d2[n // 2]
+    return trace

@@ -102,12 +102,11 @@ def _lucas_u(ts, n: int, m: int) -> list[int]:
     conj^i, two full-size products per bit: V_2i = V_i^2 - 2 n^i,
     V_2i+1 = V_i V_{i+1} - t n^i and V_2i+2 = V_{i+1}^2 - 2 n^(i+1).  The
     powers n^i depend on n and m only and are shared by every t.  With
-    D = t^2 - 4n != 0, one last product gives U_2j = V_j (2 V_{j+1} - t V_j) / D
+    D = t^2 - 4n, one last product gives U_2j = V_j (2 V_{j+1} - t V_j) / D
     and U_2j+1 = V_j (t V_{j+1} - 2n V_j) / D - n^j, each division exact and
-    by a small integer; at D = 0, U_m = m (t/2)^(m-1).
+    by a small integer.  Needs m >= 1 and D != 0, as trace_hecke's t^2 < 4n
+    guarantees.
     """
-    if m == 0:
-        return [0 for _ in ts]
     j = m // 2
     # per bit of j: the bit, n^i and 2 n^i (bit 0) or 2 n^(i+1) (bit 1)
     steps, q = [], 1
@@ -121,9 +120,6 @@ def _lucas_u(ts, n: int, m: int) -> list[int]:
     out = []
     for t in ts:
         disc = t * t - 4 * n
-        if disc == 0:
-            out.append(m * (t // 2) ** (m - 1))
-            continue
         v0, v1 = 2, t
         for odd, qi, two_q in steps:
             mid = v0 * v1 - t * qi

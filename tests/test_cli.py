@@ -109,6 +109,41 @@ def test_trace_verify_past_the_oracle_refuses_up_front(k, nmax, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k, nmax", [(30, 3), (28, 1), (13, 5), (1000, 0)])
+def test_trace_verify_beyond_the_oracle_weights_refuses_up_front(
+    k, nmax, tmp_path, capsys, monkeypatch
+):
+    # the oracle covers S_k(1) of dimension <= 1 and k = 24; past that
+    # nothing could be checked, so nothing is traced or written
+    def no_trace(*args):
+        raise AssertionError("a trace was computed before the refusal")
+
+    monkeypatch.setattr(cli, "trace_hecke", no_trace)
+    out = tmp_path / "trace.tsv"
+    argv = ["trace", "--k", str(k), "--nmax", str(nmax), "--verify", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: weight {k} not supported by the q-expansion oracle"]
+    assert not out.exists()
+
+
+def test_trace_verify_at_weight_two(tmp_path, capsys, monkeypatch):
+    # S_2(1) = 0: every trace is checked against the oracle's zero
+    asked, real_oracle = [], cli.oracle_trace
+
+    def oracle(k, n):
+        asked.append(n)
+        return real_oracle(k, n)
+
+    monkeypatch.setattr(cli, "oracle_trace", oracle)
+    out = tmp_path / "trace.tsv"
+    assert main(["trace", "--k", "2", "--nmax", "400", "--verify", "--out", str(out)]) == 0
+    assert set(asked) == set(range(1, 401))
+    rows = [line.split("\t") for line in out.read_text().strip().splitlines()]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(n, 0) for n in range(1, 401)]
+    assert capsys.readouterr().err == "verified against q-expansion oracle for k=2\n"
+
+
 def test_murmur_smoke_and_compare(tmp_path):
     cache = tmp_path / "cls.bin"
     csv = tmp_path / "m.csv"
@@ -268,6 +303,19 @@ def test_window_selftest_failure_is_a_verification_error(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert "FAIL  Poisson identity" in out
     assert err == "error: window self-test failed: Poisson identity\n"
+
+
+def test_propcircle_reads_a_mod_q(tmp_path):
+    # a enters only through a mod q, however large it is
+    reports = []
+    for a in ("1", str(1 + 10**15 * 7), "99999999999999999999"):
+        out = tmp_path / f"pc{a}.json"
+        argv = ["propcircle", "--a", a, "--q", "7", "--x", "100", "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        assert report.pop("a") == int(a)
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_propcircle_q_beyond_t_max(capsys):

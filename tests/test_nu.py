@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -394,6 +395,34 @@ def test_s_alpha_fourier_vs_jump(sieve_1m):
         series = s_alpha_fourier(alpha, 10**5, sieve_1m)
         jump = s_alpha_jump(alpha, 10**4, sieve_1m, star=True)
         assert abs(series - jump) <= 2e-3, alpha
+
+
+def test_s_alpha_fourier_exact_alpha_has_period_one(sieve_1m):
+    # t * numerator passes int64 here; the residues t a mod q must stay exact
+    t_max = 10**5
+    alpha = Fraction(2**50 + 3, 2**51 + 1)
+    got = s_alpha_fourier(alpha, t_max, sieve_1m)
+    assert got == s_alpha_fourier(alpha + 7, t_max, sieve_1m)
+    assert got == s_alpha_fourier(alpha - 3, t_max, sieve_1m)
+    q, a = alpha.denominator, alpha.numerator
+    residues = np.array([t * a % q for t in range(1, t_max + 1)], dtype=np.float64)
+    t = np.arange(1, t_max + 1, dtype=np.float64)
+    f = sieve_1m.multiplicative_tables(t_max)[2][1 : t_max + 1]
+    want = default_euler_constant() * np.dot(f / (math.pi * t), np.sin(2 * math.pi * residues / q))
+    assert abs(got - want) <= 1e-15
+    # where the products fit, alpha and alpha + 7 take the same int64 path
+    assert s_alpha_fourier(Fraction(1, 3), t_max, sieve_1m) == s_alpha_fourier(
+        Fraction(22, 3), t_max, sieve_1m
+    )
+
+
+def test_prop_circle_reads_a_mod_q(window, sieve_1m):
+    # a * t passes int64 at a = 1 + 10^15 q, and a = 1 + 10^30 q is no int64
+    for q, theta in ((7, 0.0), (10, 0.003)):
+        base = prop_circle_check(3, q, theta, 100.0, window, sieve_1m)
+        for a in (3 + 10**15 * q, 3 + 10**30 * q, 3 - 10**15 * q):
+            chk = prop_circle_check(a, q, theta, 100.0, window, sieve_1m)
+            assert dataclasses.replace(chk, a=3) == base, (q, a)
 
 
 def test_prop_circle_main_term(window, sieve_1m):

@@ -7,7 +7,6 @@ from murmurations.qexp import (
     IntegerPowerSeries,
     eisenstein,
     eta_power_24,
-    hecke_coefficient,
     newform_qexp,
     oracle_trace,
 )
@@ -74,9 +73,11 @@ def test_eisenstein_values():
 
 def test_discriminant_identity():
     prec = 50
-    lhs = eisenstein(4, prec).pow(3).sub(eisenstein(6, prec).pow(2))
-    rhs = eta_power_24(prec).scale(1728)
-    assert [lhs[i] for i in range(prec + 1)] == [rhs[i] for i in range(prec + 1)]
+    e4_cubed = eisenstein(4, prec).pow(3).coeffs
+    e6_squared = eisenstein(6, prec).pow(2).coeffs
+    assert len(e4_cubed) == len(e6_squared) == prec + 1
+    lhs = [a - b for a, b in zip(e4_cubed, e6_squared)]
+    assert lhs == [1728 * c for c in eta_power_24(prec).coeffs]
 
 
 def test_newform_normalization_and_values():
@@ -98,17 +99,12 @@ def test_hecke_coefficient_multiplicativity():
             assert f[p] * f[q] == f[p * q]
 
 
-def test_hecke_operator_action_matches_coefficients():
-    # T_n on an eigenform multiplies by its coefficient: a_1(T_n f) = a_n
-    f = newform_qexp(12, 40)
-    for n in (2, 3, 5, 6, 10):
-        assert hecke_coefficient(f, n, 12, 1) == f[n]
-
-
 def test_oracle_trace_values():
     assert oracle_trace(12, 7) == -16744
     assert all(oracle_trace(8, n) == 0 for n in range(1, 30))
     assert oracle_trace(24, 1) == 2
+    # S_2(1) = 0, as the trace formula says
+    assert all(oracle_trace(2, n) == 0 for n in range(1, 30))
     with pytest.raises(ValueError):
         oracle_trace(28, 2)
     with pytest.raises(ValueError):
@@ -152,32 +148,26 @@ def test_oracle_trace_refuses_past_the_precision_cap():
 
 
 def test_series_multiplication_consistency():
-    a = IntegerPowerSeries([1, 2, 3, 4], 0)
-    b = IntegerPowerSeries([0, 1, 1], 1)
-    ab = a.mul(b)
-    ba = b.mul(a)
-    assert ab.coeffs == ba.coeffs and ab.offset == ba.offset
+    a = IntegerPowerSeries([1, 2, 3, 4])
+    b = IntegerPowerSeries([0, 1, 1])
+    assert a.mul(b).coeffs == b.mul(a).coeffs == [0, 1, 3]
 
 
 def _schoolbook_mul(a, b):
     # the direct O(n^2) truncated product, as the definition of mul
-    n = min(a.prec + b.offset, b.prec + a.offset)
+    n = min(a.prec, b.prec)
     out = [0] * n
-    for i in range(a.offset, min(a.prec, n)):
-        for j in range(b.offset, min(b.prec, n - i)):
+    for i in range(n):
+        for j in range(n - i):
             out[i + j] += a.coeffs[i] * b.coeffs[j]
-    return IntegerPowerSeries(out, a.offset + b.offset)
+    return IntegerPowerSeries(out)
 
 
 def _schoolbook_pow(a, e):
-    result = IntegerPowerSeries([1] + [0] * (a.prec - 1), 0)
+    result = IntegerPowerSeries([1] + [0] * (a.prec - 1))
     for _ in range(e):
         result = _schoolbook_mul(result, a)
     return result
-
-
-def _same(x, y):
-    return x.coeffs == y.coeffs and x.offset == y.offset
 
 
 _signed = st.integers(-(10**40), 10**40)
@@ -187,23 +177,22 @@ _series = st.builds(
         st.lists(_signed, min_size=1, max_size=80),
         st.integers(1, 80).map(lambda n: [0] * n),
     ),
-    st.integers(0, 3),
 )
 
 
 @given(_series, _series)
 def test_mul_matches_schoolbook(a, b):
-    assert _same(a.mul(b), _schoolbook_mul(a, b))
+    assert a.mul(b).coeffs == _schoolbook_mul(a, b).coeffs
 
 
 @given(_series)
 def test_square_matches_schoolbook(a):
-    assert _same(a.mul(a), _schoolbook_mul(a, a))
+    assert a.mul(a).coeffs == _schoolbook_mul(a, a).coeffs
 
 
 @given(_series, st.integers(0, 6))
 def test_pow_matches_repeated_product(a, e):
-    assert _same(a.pow(e), _schoolbook_pow(a, e))
+    assert a.pow(e).coeffs == _schoolbook_pow(a, e).coeffs
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 17, 80])
@@ -213,7 +202,7 @@ def test_mul_at_the_digit_width_limit(length):
     for bits in range(1, 80):
         big = (1 << bits) - 1
         for signs in ((1, 1), (1, -1), (-1, -1)):
-            a = IntegerPowerSeries([signs[0] * big] * length, 0)
-            b = IntegerPowerSeries([signs[1] * big] * length, 0)
-            assert _same(a.mul(b), _schoolbook_mul(a, b)), (bits, signs)
-            assert _same(a.mul(a), _schoolbook_mul(a, a)), bits
+            a = IntegerPowerSeries([signs[0] * big] * length)
+            b = IntegerPowerSeries([signs[1] * big] * length)
+            assert a.mul(b).coeffs == _schoolbook_mul(a, b).coeffs, (bits, signs)
+            assert a.mul(a).coeffs == _schoolbook_mul(a, a).coeffs, bits
