@@ -171,21 +171,27 @@ class FactorSieve:
 
 
 def build_factor_sieve(bound: int) -> FactorSieve:
-    """Sieve smallest prime factors for 2..bound (4 bytes per entry)."""
+    """Sieve smallest prime factors for 2..bound.
+
+    The table keeps 4 bytes per entry (int32 ``spf``, 0 at n = 0, 1) plus the
+    int64 primes; building it peaks at under 8 bytes per entry.  Every entry
+    starts as n itself; each odd prime p <= sqrt(bound), largest first,
+    writes p over the odd multiples of p from p^2, so the smallest prime
+    factor is the last write, and the even entries are 2.
+    """
     if bound < 2:
         raise ValueError("sieve bound must be at least 2")
     if bound >= 2**31:
         raise ValueError("sieve bound must fit in 32 bits")
-    spf = np.zeros(bound + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(bound) + 1):
-        if spf[p] == 0:
-            seg = spf[p * p :: p]
-            seg[seg == 0] = p
-    # untouched entries are prime
-    idx = np.arange(2, bound + 1, dtype=np.int32)
-    unmarked = spf[2:] == 0
-    spf[2:][unmarked] = idx[unmarked]
-    primes = idx[spf[2:] == idx].astype(np.int64)
+    spf = np.arange(bound + 1, dtype=np.int32)
+    root = math.isqrt(bound)
+    odd_primes = build_factor_sieve(root).primes[1:].tolist() if root >= 2 else []
+    for p in reversed(odd_primes):
+        spf[p * p :: 2 * p] = p
+    spf[4::2] = 2
+    spf[:2] = 0
+    odd = np.arange(3, bound + 1, 2, dtype=np.int32)
+    primes = np.concatenate(([2], 2 * np.flatnonzero(spf[3::2] == odd) + 3))
     return FactorSieve(bound, spf, primes)
 
 

@@ -115,13 +115,18 @@ def sieve_class_numbers(bound: int) -> ClassNumberTable:
         block = body[: rows * step].reshape(rows, step)  # a view: adds in place
         block += pattern
         body[rows * step :] += pattern[: body.size - rows * step]
-        # head: ceil(b^2 / 4a) terms for each b, j counting up from 0 within each
+        # head: ceil(b^2 / 4a) terms for each b, the j-th at place starts[b] + j,
+        # so place i holds n = 4a (a + i) - (4a starts[b] + b^2)
         counts = (b * b + step - 1) // step
-        bb = np.repeat(b, counts)
-        j = np.arange(bb.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        n = step * (a + j) - bb * bb
-        keep = n <= bound
-        np.add.at(forms, n[keep], np.where(j == 0, 1, w[bb])[keep])
+        starts = np.cumsum(counts) - counts
+        n = step * (a + np.arange(counts.sum())) - np.repeat(step * starts + b * b, counts)
+        weights = np.full(n.size, 2, dtype=np.int32)
+        weights[starts] = 1  # the c = a form
+        weights[starts[a] :] = 1  # the b = a run, last
+        if step * a > bound:  # every n is below 4a^2
+            keep = n <= bound
+            n, weights = n[keep], weights[keep]
+        np.add.at(forms, n, weights)
     return ClassNumberTable(bound=bound, forms=forms)
 
 

@@ -183,6 +183,8 @@ def cmd_trace(args) -> None:
         # refuses a weight or an n beyond the oracle's reach before any trace
         # is computed, and builds the whole series in one go
         oracle_trace(args.k, max(args.nmax, 1))
+    if args.nmax < 1:
+        raise _Refusal(EXIT_USAGE, "--nmax must be at least 1")
     ctx = _load_context(args, 4 * args.nmax)
     rows = []
     for n in range(1, args.nmax + 1):

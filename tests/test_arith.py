@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +35,51 @@ def test_smallest_prime_factors():
 def test_sieve_bound_validation():
     with pytest.raises(ValueError):
         build_factor_sieve(1)
+
+
+def _least_prime_factor(n):
+    # independent oracle: the first divisor found by trial division
+    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+
+
+_LPF = [0, 0] + [_least_prime_factor(n) for n in range(2, 2 * 10**4 + 1)]
+
+
+def test_spf_matches_trial_division():
+    s = build_factor_sieve(2 * 10**4)
+    assert s.spf.dtype == np.int32 and s.primes.dtype == np.int64
+    assert s.spf.tolist() == _LPF
+
+
+def test_sieve_every_small_bound():
+    # crosses bound < 4 and every p^2 - 1, p^2 of the primes that write
+    for bound in range(2, 301):
+        s = build_factor_sieve(bound)
+        assert s.spf.dtype == np.int32 and s.primes.dtype == np.int64
+        assert s.spf.tolist() == _LPF[: bound + 1], bound
+        assert s.primes.tolist() == [n for n in range(2, bound + 1) if _LPF[n] == n], bound
+
+
+def test_sieve_digests_at_one_million(sieve_1m):
+    assert hashlib.sha256(sieve_1m.spf.tobytes()).hexdigest() == (
+        "b623183698c02a675f4e93f24392556c714c21e53da874b4dfee487ebc1ef97d"
+    )
+    assert hashlib.sha256(sieve_1m.primes.tobytes()).hexdigest() == (
+        "9a175956bcc0270ceaaf56af1b9f8fa19762597a1286b5124ca6d86284f60b40"
+    )
+
+
+def test_factor_sieve_peak_memory():
+    # the int32 table and its int64 primes, with no bound-sized int64 or
+    # full-size index array beside them
+    bound = 10**6
+    tracemalloc.start()
+    try:
+        build_factor_sieve(bound)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (bound + 1)
 
 
 def _trial_division_primes(limit, small_primes):

@@ -355,6 +355,8 @@ def test_io_error_paths(tmp_path):
         (["nu", "--E", "1/2:inf", "--tmax", "100", "--qmax", "200"], 0, ""),
         (["trace", "--k", "12", "--nmax", "5", "--out", "{tmp}/nodir/t.tsv"], 2, "cannot write"),
         (["trace", "--k", "12", "--nmax", "5", "--verify"], 4, "oracle mismatch at n=1"),
+        (["trace", "--k", "24", "--nmax", "0", "--verify"], 1, "--nmax must be at least 1"),
+        (["trace", "--k", "24", "--nmax", "-1"], 1, "--nmax must be at least 1"),
         # refused from the size estimate, before any table is allocated
         (["murmur", "--K", "1e6", "--H", "10", "--delta", "0", "--E", "0:2",
           "--out", "{tmp}/x.csv"], 3, "bytes of physical memory"),
@@ -397,7 +399,8 @@ def test_io_error_paths(tmp_path):
     ],
     ids=[
         "murmur-unbounded-E", "nu-unbounded-E", "trace-unwritable-out",
-        "trace-verify-mismatch", "murmur-beyond-memory", "sieve-beyond-memory",
+        "trace-verify-mismatch", "trace-verify-zero-nmax", "trace-negative-nmax",
+        "murmur-beyond-memory", "sieve-beyond-memory",
         "propcircle-zero-tmult", "propcircle-negative-tmult", "nu-grid-zero-count",
         "nu-grid-malformed", "murmur-infinite-K", "murmur-K-without-float-N",
         "propcircle-infinite-x", "propcircle-nan-theta", "propcircle-t-span-minus-inf",
