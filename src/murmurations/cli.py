@@ -76,11 +76,23 @@ def _emit_json(payload: dict, path) -> None:
 
 
 # bytes per table entry:
-# - sieve: the int32 reduced-form counts of each |D|;
-# - trace, murmur: those counts, the int32 6H table, the float64 L(1) table
-#   (divided in place in blocks, with no table-sized temporary) and the
-#   int32 factor sieve of n <= |D| / 4, one byte per |D| (no run path
-#   reads the class numbers h, which are derived only on demand);
+# - sieve: the two int32 halves of the reduced-form counts, which hold only
+#   the |D| = 0, 3 mod 4, so 2 bytes per |D|, and the u32 cache payload
+#   interleaved from them, 2 more (4.3 and 4.1 bytes per |D| measured at
+#   10^6 and 4*10^6, with the command's own allocations);
+# - trace, murmur: the halves of those counts and of 6H (2 + 2), the float64
+#   L(1) table of every |D| (divided in place in blocks, with no
+#   table-sized temporary) and the int32 factor sieve of n <= |D| / 4, one
+#   byte per |D| (no run path reads the class numbers h, which are derived
+#   only on demand); trace adds, per output row, _ROW_BYTES and four bytes
+#   per digit of the trace, at most (k - 1)/2 log10 n_max digits: the list
+#   of rows, their join, the encoded text and the stream's buffer (about
+#   5.5 kB per row measured at k = 1000, 300 < n <= 600); murmur adds the
+#   kernel's arrays of one pass (2.6 MB measured with 16 384 points) and,
+#   per summation point, the two elliptic rows, the series arrays and the
+#   CSV row (about 160 bytes measured);
+# - sieve, trace, murmur: and the command's own allocations, the parser and
+#   the lazy imports (0.2-0.3 MB measured);
 # - nu, propcircle: the int32 factor sieve of each q or t, its int64 primes
 #   (under one byte per entry) and its int8 mu, float64 coefficient and
 #   float64 f tables, which stay; the walk builds them in blocks of 2^16 q,
@@ -98,8 +110,12 @@ def _emit_json(payload: dict, path) -> None:
 #   measured); and scipy.fft, which the FFT grid imports (14.5 MB);
 # - and an allowance for the blocks of the walk, the window's blocks of
 #   4096 rows (about 10 MiB) and hat_many's cosine blocks (1 MiB).
-_SIEVE_BYTES = 4
-_CONTEXT_BYTES = 4 + 4 + 8 + 1
+_SIEVE_BYTES = 2 + 2
+_CONTEXT_BYTES = 2 + 2 + 8 + 1
+_ROW_BYTES = 256
+_PASS_BYTES = 3 << 20
+_POINT_BYTES = 200
+_RUN_BYTES = 1 << 20
 _MEASURE_BYTES = 4 + 1 + 1 + 8 + 8
 _ATOM_BYTES, _ATOM_LOG_BYTES = 120, 13
 _FOURIER_BYTES = 48
@@ -126,9 +142,10 @@ def _require_bytes(need: float, what: str) -> None:
         )
 
 
-def _require_memory(bound: float, bytes_per_entry: int) -> None:
-    """Refuse when tables indexed 0..bound cannot fit in physical memory."""
-    _require_bytes(bytes_per_entry * (bound + 1), f"tables up to {bound}")
+def _require_memory(bound: float, bytes_per_entry: int, extra: float) -> None:
+    """Refuse when tables indexed 0..bound and extra bytes cannot fit in
+    physical memory."""
+    _require_bytes(bytes_per_entry * (bound + 1) + extra, f"tables up to {bound}")
 
 
 def _measure_bytes(size: float, q_max: float = 0, t_max: float = 0, extra: float = 0) -> float:
@@ -139,8 +156,8 @@ def _measure_bytes(size: float, q_max: float = 0, t_max: float = 0, extra: float
     return _BLOCK_BYTES + _MEASURE_BYTES * size + atoms + _FOURIER_BYTES * t_max + extra
 
 
-def _load_context(args, required_bound: int) -> TraceContext:
-    _require_memory(required_bound, _CONTEXT_BYTES)
+def _load_context(args, required_bound: int, extra: float) -> TraceContext:
+    _require_memory(required_bound, _CONTEXT_BYTES, extra)
     if getattr(args, "cache", None):
         try:
             table = load_class_numbers(args.cache)
@@ -150,7 +167,7 @@ def _load_context(args, required_bound: int) -> TraceContext:
             raise _Refusal(
                 EXIT_CAPACITY, f"cache bound {table.bound} below required {required_bound}"
             )
-        _require_memory(table.bound, _CONTEXT_BYTES)
+        _require_memory(table.bound, _CONTEXT_BYTES, extra)
     else:
         table = sieve_class_numbers(max(required_bound, 16))
     # only the n of T_n are factored, and the table reaches 4n
@@ -159,7 +176,7 @@ def _load_context(args, required_bound: int) -> TraceContext:
 
 
 def cmd_sieve(args) -> None:
-    _require_memory(args.dmax, _SIEVE_BYTES)
+    _require_memory(args.dmax, _SIEVE_BYTES, _RUN_BYTES)
     table = sieve_class_numbers(args.dmax)
     try:
         save_class_numbers(table, args.out)
@@ -185,7 +202,9 @@ def cmd_trace(args) -> None:
         oracle_trace(args.k, max(args.nmax, 1))
     if args.nmax < 1:
         raise _Refusal(EXIT_USAGE, "--nmax must be at least 1")
-    ctx = _load_context(args, 4 * args.nmax)
+    digits = max(args.k - 1, 0) / 2 * math.log10(args.nmax)
+    rows_bytes = args.nmax * (_ROW_BYTES + 4 * digits)
+    ctx = _load_context(args, 4 * args.nmax, _RUN_BYTES + rows_bytes)
     rows = []
     for n in range(1, args.nmax + 1):
         tr = trace_hecke(ctx, args.k, n)
@@ -220,8 +239,12 @@ def cmd_murmur(args) -> None:
         summand_domain=args.domain,
     )
     reach = float(interval.hi) * analytic_conductor(args.K).N
-    _require_memory(4 * reach, _CONTEXT_BYTES)
-    series = compute_series(req, _load_context(args, 4 * int(reach) + 4))
+    points = reach
+    if args.domain == "primes" and reach >= 3:
+        points = 1.26 * reach / math.log(reach)  # pi(x) < 1.26 x / ln x (Rosser-Schoenfeld)
+    extra = _RUN_BYTES + _PASS_BYTES + _POINT_BYTES * points
+    _require_memory(4 * reach, _CONTEXT_BYTES, extra)
+    series = compute_series(req, _load_context(args, 4 * int(reach) + 4, extra))
     _emit(_series_csv(series), args.out)
     summary = {
         "N": series.N,

@@ -36,8 +36,9 @@ class TableBoundError(ValueError):
         super().__init__(f"{self._COVERS[table]} <= {available}, need {required}")
 
 
-# |D| per block of TraceContext.l1_array: the square roots of a block take
-# 512 KiB, where one array over the whole table took 6 MB at K = 3850
+# entries of a half per block of TraceContext.l1_array: the square roots of
+# a block take 512 KiB, where one array over the whole table took 6 MB at
+# K = 3850
 _L1_BLOCK = 1 << 16
 
 
@@ -45,22 +46,24 @@ _L1_BLOCK = 1 << 16
 class TraceContext:
     """Shared state for trace evaluations.
 
-    ``h6[n]`` holds 6 H(n) as int32, the Hurwitz class numbers of every
-    n <= bound, built on construction; the elliptic-term Dirichlet values
-    L(1, psi_D) are materialized lazily from it as one float array, divided
-    in place block by block, so the build allocates no second array of the
-    table's size.  The factor sieve has to reach only the n of T_n.
-    ``elliptic_rows`` keeps, for the life of the context, the read-only
-    elliptic sums of both root-number classes that ``murmur.compute_series``
-    computed for each (K, H, E, summand domain), one float per summation
-    point and class, so the second class and the other weightings of a run
-    read them instead of running the kernel again.  Queries are pure: a
-    stored row is what a fresh context computes.
+    ``h6 = (H0, H3)`` holds 6 H(n) as int32, the Hurwitz class numbers of
+    every n <= bound, in the halves of the class table: H0[i] = 6 H(4i) and
+    H3[i] = 6 H(4i + 3), built on construction.  6 H(4n - t^2) is then
+    ``h6[t & 1][n - (t * t + 3) // 4]``.  The elliptic-term Dirichlet values
+    L(1, psi_D) are materialized lazily from it as one float array indexed
+    by |D|, divided in place block by block, so the build allocates no
+    second array of the table's size.  The factor sieve has to reach only
+    the n of T_n.  ``elliptic_rows`` keeps, for the life of the context, the
+    read-only elliptic sums of both root-number classes that
+    ``murmur.compute_series`` computed for each (K, H, E, summand domain),
+    one float per summation point and class, so the second class and the
+    other weightings of a run read them instead of running the kernel again.
+    Queries are pure: a stored row is what a fresh context computes.
     """
 
     table: ClassNumberTable
     sieve: FactorSieve
-    h6: np.ndarray = field(init=False, repr=False)
+    h6: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     _l1: np.ndarray | None = field(default=None, init=False, repr=False)
     elliptic_rows: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -78,18 +81,22 @@ class TraceContext:
     def l1_array(self) -> np.ndarray:
         """L(1, psi_D) indexed by |D| for every D = 0, 1 mod 4, -bound <= D < 0.
 
-        L(1, psi_D) = pi H(|D|) / sqrt|D| (Zagier), so one division of the
-        6 H table, done in place in blocks of _L1_BLOCK entries, each by the
-        square roots of its own |D|; entries at |D| = 0 and at
-        non-discriminants are 0.
+        L(1, psi_D) = pi H(|D|) / sqrt|D| (Zagier), so one division of 6 H:
+        each half goes to its places |D| = 4i and 4i + 3 and is divided
+        there in place, in blocks of _L1_BLOCK entries, by the square roots
+        of its own |D|.  Entries at |D| = 0 and at non-discriminants are 0.
         """
         if self._l1 is None:
-            l1 = np.multiply(2.0 * math.pi / 12.0, self.h6, dtype=np.float64)
-            for lo in range(0, l1.size, _L1_BLOCK):
-                root = np.arange(lo, min(lo + _L1_BLOCK, l1.size), dtype=np.float64)
-                if lo == 0:
-                    root[0] = 1.0
-                l1[lo : lo + root.size] /= np.sqrt(root, out=root)
+            l1 = np.zeros(self.table.bound + 1)
+            for r, half in zip((0, 3), self.h6):
+                view = l1[r::4]
+                np.multiply(2.0 * math.pi / 12.0, half, out=view)
+                for lo in range(0, view.size, _L1_BLOCK):
+                    hi = min(lo + _L1_BLOCK, view.size)
+                    root = np.arange(4 * lo + r, 4 * hi + r, 4, dtype=np.float64)
+                    if lo == r == 0:
+                        root[0] = 1.0
+                    view[lo:hi] /= np.sqrt(root, out=root)
             self._l1 = l1
         return self._l1
 
@@ -148,9 +155,13 @@ def trace_hecke(ctx: TraceContext, k: int, n: int) -> int:
         twelfths += n ** (k // 2 - 1) * (k - 1)
     # elliptic terms over t^2 < 4n, symmetric in t for even k
     tmax = math.isqrt(4 * n - 1)
-    for t, u in enumerate(_lucas_u(range(tmax + 1), n, k - 1)):
-        term = u * int(ctx.h6[4 * n - t * t])
-        twelfths -= term if t == 0 else 2 * term
+    # 6 H(4n - t^2) from the half of the parity of t, one gather per half
+    place = n - (np.arange(tmax + 1) ** 2 + 3) // 4
+    h6 = [0] * (tmax + 1)
+    h6[0::2] = ctx.h6[0][place[0::2]].tolist()
+    h6[1::2] = ctx.h6[1][place[1::2]].tolist()
+    for t, (u, h) in enumerate(zip(_lucas_u(range(tmax + 1), n, k - 1), h6)):
+        twelfths -= u * h if t == 0 else 2 * u * h
     # hyperbolic: (1/2) sum over d | n of min(d, n/d)^(k-1)
     hyp = sum(min(d, n // d) ** (k - 1) for d in ctx.sieve.divisors(n))
     twelfths -= 6 * hyp

@@ -9,10 +9,10 @@ import pytest
 
 from murmurations.arith import build_factor_sieve, default_euler_constant, kronecker
 from murmurations.classnum import (
+    ClassNumberTable,
     DiscriminantTable,
     L1_psi_D,
     L1_psi_bar,
-    _discriminants,
     decompose_discriminant,
     hurwitz6,
     is_fundamental,
@@ -86,8 +86,24 @@ def test_form_sieve_small_bounds():
         assert np.array_equal(table.forms, _brute_force_form_counts(bound, primitive=False)), bound
         h = _brute_force_form_counts(bound)
         assert np.array_equal(table.h, h), bound
-        assert hurwitz6(table).dtype == np.int32
-        assert np.array_equal(hurwitz6(table), _brute_force_hurwitz6(h)), bound
+        assert all(half.dtype == np.int32 for half in hurwitz6(table))
+        assert np.array_equal(table.expand(hurwitz6(table)), _brute_force_hurwitz6(h)), bound
+
+
+def test_halves_small_bounds():
+    # the halves themselves at every bound, so at each residue of the bound
+    # mod 4 and both lengths of each half: T0[i] = A(4i), T3[i] = A(4i + 3)
+    for bound in range(4, 500):
+        table = sieve_class_numbers(bound)
+        forms = _brute_force_form_counts(bound, primitive=False)
+        t0, t3 = table.halves
+        assert t0.size == bound // 4 + 1 and t3.size == (bound + 1) // 4, bound
+        assert np.array_equal(t0, forms[0::4]) and np.array_equal(t3, forms[3::4]), bound
+        assert np.array_equal(table.expand(table.halves), forms), bound
+        h6 = _brute_force_hurwitz6(_brute_force_form_counts(bound))
+        h0, h3 = hurwitz6(table)
+        assert np.array_equal(h0, h6[0::4]) and np.array_equal(h3, h6[3::4]), bound
+        assert np.array_equal(table.expand((h0, h3)), h6), bound
 
 
 def test_figure_bound_table_digests(desk_context):
@@ -330,7 +346,7 @@ def test_psi_bar_table_path_matches_loop(sieve_1m, disc_table):
 
 def test_hurwitz6_matches_class_number_formula(class_table_20k, sieve_1m):
     # 6 H(|D|) = 12 L(1, psi_D) sqrt|D| / 2 pi at every discriminant
-    h6 = hurwitz6(class_table_20k)
+    h6 = class_table_20k.expand(hurwitz6(class_table_20k))
     for n in range(3, class_table_20k.bound + 1):
         if n % 4 in (0, 3):
             want = L1_psi_D(-n, class_table_20k, sieve_1m) * math.sqrt(n) * 12 / (2 * math.pi)
@@ -348,7 +364,7 @@ def test_hurwitz6_matches_three_squares(class_table_20k):
     anchored here only through that relation; the class number formula test
     covers it directly."""
     bound = class_table_20k.bound
-    h6 = hurwitz6(class_table_20k)
+    h6 = class_table_20k.expand(hurwitz6(class_table_20k))
     # theta^2 from the outer sum of the squares k^2, k in Z, then theta^3 by
     # one shifted add of theta^2 per k, in exact integers
     k = np.arange(-math.isqrt(bound), math.isqrt(bound) + 1)
@@ -371,7 +387,7 @@ def test_hurwitz6_matches_three_squares(class_table_20k):
 def test_kronecker_hurwitz_relation(class_table_20k, sieve_1m):
     # sum over t^2 <= 4n of H(4n - t^2) = 2 sigma(n) - sum_{d | n} min(d, n/d),
     # with H(0) = -1/12; in twelfths, 12 H = 2 h6 away from 0
-    h6 = hurwitz6(class_table_20k)
+    h6 = class_table_20k.expand(hurwitz6(class_table_20k))
     for n in range(1, 3001):
         t = np.arange(-math.isqrt(4 * n), math.isqrt(4 * n) + 1)
         disc = 4 * n - t * t
@@ -436,11 +452,28 @@ def test_cache_roundtrip(tmp_path, class_table_20k):
     assert np.array_equal(loaded.h, class_table_20k.h)
 
 
-def test_cache_order_is_ascending_discriminants():
-    # the interleave of n = 3 and n = 0 mod 4 at every bound residue
+def test_cache_bytes_pinned(tmp_path, class_table_20k):
+    # the file of the n-indexed table, before the halves: the same bytes
+    path = tmp_path / "cls.bin"
+    save_class_numbers(class_table_20k, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "19ebbf19fa32cc4c03653cbd01c5cc10d14e89f224d625f6f1264acf509072e3"
+    )
+
+
+def test_cache_order_is_ascending_discriminants(tmp_path):
+    # the interleave of the halves at every bound residue: halves that hold
+    # their own n write the ascending n = 0, 3 mod 4 from 3 on
+    path = tmp_path / "cls.bin"
     for bound in range(300):
         want = [n for n in range(1, bound + 1) if n % 4 in (0, 3)]
-        assert _discriminants(bound).tolist() == want, bound
+        n0 = 4 * np.arange(bound // 4 + 1, dtype=np.int32)
+        n3 = 4 * np.arange((bound + 1) // 4, dtype=np.int32) + 3
+        save_class_numbers(ClassNumberTable(bound=bound, halves=(n0, n3)), path)
+        payload = np.frombuffer(path.read_bytes()[16:-32], dtype="<u4")
+        assert payload.tolist() == want, bound
+        t0, t3 = load_class_numbers(path).halves
+        assert np.array_equal(t0, n0) and np.array_equal(t3, n3), bound
 
 
 def test_cache_rejects_bad_magic(tmp_path, class_table_20k):

@@ -521,11 +521,19 @@ def test_float_option_sweep(command, option, value, tmp_path, capsys, monkeypatc
         ["propcircle", "--a", "1", "--q", "1", "--x", "1000"],
         ["propcircle", "--a", "1", "--q", "1", "--x", "10000"],
         ["propcircle", "--a", "1", "--q", "1", "--x", "1", "--tmult", "4000"],
+        ["sieve", "--dmax", "1000000", "--out", "{tmp}/cls.bin"],
+        ["trace", "--k", "12", "--nmax", "500"],
+        ["trace", "--k", "1000", "--nmax", "300"],
+        ["murmur", "--K", "3850", "--H", "100", "--delta", "0", "--E", "0:2",
+         "--out", "{tmp}/r.csv"],
+        ["murmur", "--K", "1500", "--H", "100", "--delta", "0", "--E", "0:2",
+         "--domain", "integers", "--out", "{tmp}/r.csv"],
     ],
     ids=["nu-q-3e4", "nu-q-1e5", "nu-t-2.5e5", "nu-t-1e6", "propcircle-x-1e3",
-         "propcircle-x-1e4", "propcircle-tmult-4e3"],
+         "propcircle-x-1e4", "propcircle-tmult-4e3", "sieve-1e6", "trace-k12",
+         "trace-k1000", "murmur-3850", "murmur-integers-1500"],
 )
-def test_memory_estimate_covers_the_peak(argv, monkeypatch, capsys):
+def test_memory_estimate_covers_the_peak(argv, monkeypatch, capsys, tmp_path):
     # the estimate the command checks, against the peak of its own run; the
     # 16 MiB block allowance dominates the smaller size of each pair, so the
     # larger one pins the per-entry bytes
@@ -533,6 +541,7 @@ def test_memory_estimate_covers_the_peak(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_require_bytes", lambda need, what: needs.append(need))
     nu._squarefree_table.cache_clear()
     nu._taper.cache_clear()
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     tracemalloc.start()
     try:
         assert main(argv) == 0

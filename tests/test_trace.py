@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -238,7 +239,7 @@ def _l1_one_shot(ctx):
     # the expression with an int64 6H and a separate quotient, in one piece
     absd = np.arange(ctx.table.bound + 1, dtype=np.float64)
     absd[0] = 1.0
-    return (2.0 * math.pi / 12.0) * ctx.h6.astype(np.int64) / np.sqrt(absd)
+    return (2.0 * math.pi / 12.0) * ctx.table.expand(ctx.h6).astype(np.int64) / np.sqrt(absd)
 
 
 def test_l1_array_is_one_division_of_6h(desk_context):
@@ -246,9 +247,21 @@ def test_l1_array_is_one_division_of_6h(desk_context):
     assert np.array_equal(desk_context.l1_array(), _l1_one_shot(desk_context))
 
 
-@pytest.mark.parametrize("bound", [1000, 2**16 - 1, 2**16, 2**16 + 1])
+def test_l1_array_figure_digest(desk_context):
+    # the figure-scale table, pinned from the n-indexed 6H it was built from
+    # before the halves
+    assert hashlib.sha256(desk_context.l1_array().tobytes()).hexdigest() == (
+        "60092250f3f7481b7043ec2d58a142ab5e03193a03a3d7570a9cd412cedf1bc2"
+    )
+
+
+@pytest.mark.parametrize(
+    "bound", [1000, 2**16 - 1, 2**16, 2**16 + 1, 2**18 - 5, 2**18 - 1, 2**18, 2**18 + 3, 2**18 + 7]
+)
 def test_l1_array_block_edges(bound, sieve_1m):
-    # one block short, one block exactly, one and two entries into the next
+    # the blocks run over each half, 2^16 entries of T0 or T3: from
+    # 2^18 - 5 on, both halves are one entry short of a block, exactly one
+    # block, T0 one into the next, both one into it, and both two into it
     ctx = TraceContext(table=sieve_class_numbers(bound), sieve=sieve_1m)
     assert ctx.l1_array().size == bound + 1
     assert np.array_equal(ctx.l1_array(), _l1_one_shot(ctx))
