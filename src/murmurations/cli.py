@@ -115,7 +115,7 @@ _CONTEXT_BYTES = 2 + 2 + 8 + 1
 _ROW_BYTES = 256
 _PASS_BYTES = 3 << 20
 _POINT_BYTES = 200
-_RUN_BYTES = 1 << 20
+_RUN_BYTES = 1 << 19
 _MEASURE_BYTES = 4 + 1 + 1 + 8 + 8
 _ATOM_BYTES, _ATOM_LOG_BYTES = 120, 13
 _FOURIER_BYTES = 48
