@@ -102,10 +102,11 @@ class ClassNumberTable:
 # entries per row of the body's broadcast: the period-a slices of the
 # pattern are tiled to at least this many, so short periods do not cost one
 # numpy inner loop per a entries.  On a 2-vCPU Xeon (medians of 9, four
-# alternating sweeps) the sieve to 750 532 took 0.084-0.093, 0.089-0.096,
-# 0.079-0.086 and 0.076-0.083 s with tiles of 256, 1 024, 4 096 and 16 384
-# entries, and the sieve to 5 065 052 1.03-1.08 s with 1 024 and 0.88-0.94 s
-# with 4 096; a tile of 4 096 int32 fits a 32 KiB L1 cache
+# alternating sweeps, with one head batch per a) the sieve to 750 532 took
+# 0.084-0.093, 0.089-0.096, 0.079-0.086 and 0.076-0.083 s with tiles of
+# 256, 1 024, 4 096 and 16 384 entries, and the sieve to 5 065 052
+# 1.03-1.08 s with 1 024 and 0.88-0.94 s with 4 096; a tile of 4 096 int32
+# takes 16 KiB, within the L1 data cache
 _TILE = 1 << 12
 
 # head terms per batch of _add_heads, about a^2 / 12 per a: the heads of
