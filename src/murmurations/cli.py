@@ -4,10 +4,12 @@ statistic runs, measure evaluations, and curve comparisons as CSV/JSON."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -58,21 +60,24 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _emit(text: str, path) -> None:
-    """Write text to path, or to stdout when no path is given."""
+def _emit(lines, path) -> None:
+    """Write each line as it is made, to path, opened once, or to stdout when
+    no path is given.  A failure while the lines are made leaves those
+    written before it."""
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     try:
-        with open(path, "w") as f:
-            f.write(text)
+        f = open(path, "w")
     except OSError as exc:
         raise _Refusal(EXIT_IO, f"cannot write {path}: {exc}") from None
+    with f:
+        f.writelines(lines)
 
 
 def _emit_json(payload: dict, path) -> None:
     # allow_nan=False: a NaN or infinity is an error, never invalid JSON
-    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", path)
+    _emit([json.dumps(payload, indent=2, allow_nan=False) + "\n"], path)
 
 
 # bytes per table entry:
@@ -84,15 +89,18 @@ def _emit_json(payload: dict, path) -> None:
 #   L(1) table of every |D| (divided in place in blocks, with no
 #   table-sized temporary) and the int32 factor sieve of n <= |D| / 4, one
 #   byte per |D| (no run path reads the class numbers h, which are derived
-#   only on demand); trace adds, per output row, _ROW_BYTES and four bytes
-#   per digit of the trace, at most (k - 1)/2 log10 n_max digits: the list
-#   of rows, their join, the encoded text and the stream's buffer (about
-#   5.5 kB per row measured at k = 1000, 300 < n <= 600); murmur adds the
-#   kernel's arrays of one pass (2.6 MB measured with 16 384 points) and,
-#   per summation point, the two elliptic rows, the series arrays and the
-#   CSV row (about 160 bytes measured);
+#   only on demand); trace, which writes each row as it is made, adds the
+#   integers of one n, 2 sqrt(n_max) + _TRACE_VALUES values of at most
+#   (k - 1)/2 log2(4 n_max) bits: the Lucas values of every t, the powers
+#   of n, the products and the text of the row (6 to 10 values past
+#   2 sqrt(n) measured at k = 10^3 to 10^5; at small k the objects' own
+#   overhead, 27 kB at k = 12, n = 20 000, is inside the command's
+#   allowance); murmur adds the kernel's arrays of one pass (2.6 MB
+#   measured with 16 384 points) and, per summation point, the two
+#   elliptic rows and the series arrays (about 160 bytes measured);
 # - sieve, trace, murmur: and the command's own allocations, the parser and
-#   the lazy imports (0.2-0.3 MB measured);
+#   the lazy imports (0.2-0.3 MB measured), and one batch of the class
+#   sieve's heads, about 2^16 terms (1.23 MB measured);
 # - nu, propcircle: the int32 factor sieve of each q or t, its int64 primes
 #   (under one byte per entry) and its int8 mu, float64 coefficient and
 #   float64 f tables, which stay; the walk builds them in blocks of 2^16 q,
@@ -112,10 +120,11 @@ def _emit_json(payload: dict, path) -> None:
 #   4096 rows (about 10 MiB) and hat_many's cosine blocks (1 MiB).
 _SIEVE_BYTES = 2 + 2
 _CONTEXT_BYTES = 2 + 2 + 8 + 1
-_ROW_BYTES = 256
+_TRACE_VALUES = 16
 _PASS_BYTES = 3 << 20
 _POINT_BYTES = 200
 _RUN_BYTES = 1 << 19
+_HEAD_BYTES = 3 << 19
 _MEASURE_BYTES = 4 + 1 + 1 + 8 + 8
 _ATOM_BYTES, _ATOM_LOG_BYTES = 120, 13
 _FOURIER_BYTES = 48
@@ -131,21 +140,24 @@ def _physical_memory() -> int:
 
 
 def _require_bytes(need: float, what: str) -> None:
-    """Refuse with the capacity exit code, before allocating, when an
-    estimate of need bytes exceeds physical memory.  The estimate may be a
-    float, even an infinite one, so that it is checked before ``int()``."""
+    """Refuse with the capacity exit code, before allocating, unless an
+    estimate of need bytes is shown to fit in physical memory.  The estimate
+    may be a float, even an infinite or NaN one, so that it is checked
+    before ``int()``."""
     have = _physical_memory()
-    if need > have:
+    if not need <= have:
         raise _Refusal(
             EXIT_CAPACITY,
             f"{what} need {need:.0f} bytes, more than the {have} bytes of physical memory",
         )
 
 
-def _require_memory(bound: float, bytes_per_entry: int, extra: float) -> None:
-    """Refuse when tables indexed 0..bound and extra bytes cannot fit in
+def _require_memory(bound: float, bytes_per_entry: int, extra: float = 0) -> None:
+    """Refuse when tables indexed 0..bound, the command's own allocations,
+    one head batch of the class sieve and extra bytes cannot fit in
     physical memory."""
-    _require_bytes(bytes_per_entry * (bound + 1) + extra, f"tables up to {bound}")
+    need = bytes_per_entry * (bound + 1) + _RUN_BYTES + _HEAD_BYTES + extra
+    _require_bytes(need, f"tables up to {bound}")
 
 
 def _measure_bytes(size: float, q_max: float = 0, t_max: float = 0, extra: float = 0) -> float:
@@ -176,13 +188,13 @@ def _load_context(args, required_bound: int, extra: float) -> TraceContext:
 
 
 def cmd_sieve(args) -> None:
-    _require_memory(args.dmax, _SIEVE_BYTES, _RUN_BYTES)
+    _require_memory(args.dmax, _SIEVE_BYTES)
     table = sieve_class_numbers(args.dmax)
     try:
         save_class_numbers(table, args.out)
     except OSError as exc:
         raise _Refusal(EXIT_IO, f"cannot write {args.out}: {exc}") from None
-    print(f"wrote class numbers for |D| <= {args.dmax} to {args.out}")
+    _emit([f"wrote class numbers for |D| <= {args.dmax} to {args.out}\n"], None)
 
 
 def _normalized(tr: int, k: int, n: int) -> float:
@@ -195,37 +207,40 @@ def _normalized(tr: int, k: int, n: int) -> float:
         return -norm if tr < 0 else norm
 
 
+def _trace_rows(ctx: TraceContext, k: int, n_max: int, verify: bool):
+    """The TSV row of each n, computed, verified and formatted one at a time."""
+    for n in range(1, n_max + 1):
+        tr = trace_hecke(ctx, k, n)
+        if verify and tr != (want := oracle_trace(k, n)):
+            raise _Refusal(EXIT_VERIFY, f"oracle mismatch at n={n}: {tr} != {want}")
+        # Decimal prints every digit of tr: str() stops at the interpreter's
+        # limit on int-to-str conversion (4300 digits by default)
+        yield f"{n}\t{Decimal(tr)}\t{_fmt(_normalized(tr, k, n))}\n"
+
+
 def cmd_trace(args) -> None:
+    # every refusal comes before a table is built or the output is opened
     if args.verify:
         # refuses a weight or an n beyond the oracle's reach before any trace
         # is computed, and builds the whole series in one go
         oracle_trace(args.k, max(args.nmax, 1))
     if args.nmax < 1:
         raise _Refusal(EXIT_USAGE, "--nmax must be at least 1")
-    digits = max(args.k - 1, 0) / 2 * math.log10(args.nmax)
-    rows_bytes = args.nmax * (_ROW_BYTES + 4 * digits)
-    ctx = _load_context(args, 4 * args.nmax, _RUN_BYTES + rows_bytes)
-    rows = []
-    for n in range(1, args.nmax + 1):
-        tr = trace_hecke(ctx, args.k, n)
-        norm = _normalized(tr, args.k, n)
-        if args.verify:
-            want = oracle_trace(args.k, n)
-            if want != tr:
-                raise _Refusal(EXIT_VERIFY, f"oracle mismatch at n={n}: {tr} != {want}")
-        rows.append(f"{n}\t{tr}\t{_fmt(norm)}\n")
-    _emit("".join(rows), args.out)
+    if args.k < 2 or args.k % 2:
+        raise _Refusal(EXIT_USAGE, "--k must be an even integer, at least 2")
+    bits = (args.k - 1) / 2 * math.log2(4 * args.nmax)
+    ctx = _load_context(args, 4 * args.nmax, (2 * math.sqrt(args.nmax) + _TRACE_VALUES) * bits / 8)
+    _emit(_trace_rows(ctx, args.k, args.nmax, args.verify), args.out)
     if args.verify:
         print(f"verified against q-expansion oracle for k={args.k}", file=sys.stderr)
 
 
-def _series_csv(series) -> str:
-    rows = ["p,p_over_N,numerator_term,denominator_term,cumulative_r\n"]
+def _series_csv(series):
+    yield "p,p_over_N,numerator_term,denominator_term,cumulative_r\n"
     for n, x, num, den, r in zip(
         series.n, series.x, series.numerator, series.denominator, series.cumulative
     ):
-        rows.append(f"{n},{_fmt(x)},{_fmt(num)},{_fmt(den)},{_fmt(r)}\n")
-    return "".join(rows)
+        yield f"{n},{_fmt(x)},{_fmt(num)},{_fmt(den)},{_fmt(r)}\n"
 
 
 def cmd_murmur(args) -> None:
@@ -242,7 +257,7 @@ def cmd_murmur(args) -> None:
     points = reach
     if args.domain == "primes" and reach >= 3:
         points = 1.26 * reach / math.log(reach)  # pi(x) < 1.26 x / ln x (Rosser-Schoenfeld)
-    extra = _RUN_BYTES + _PASS_BYTES + _POINT_BYTES * points
+    extra = _PASS_BYTES + _POINT_BYTES * points
     _require_memory(4 * reach, _CONTEXT_BYTES, extra)
     series = compute_series(req, _load_context(args, 4 * int(reach) + 4, extra))
     _emit(_series_csv(series), args.out)
@@ -282,22 +297,26 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, end, count)
 
 
+def _grid_rows(grid, q_max: int, sieve, weight: str):
+    """The cumulative curve nu([0, t]) at each grid point, one CSV row at a
+    time; the Fourier column is left empty."""
+    yield "t,nu_cumulative_rational,nu_cumulative_fourier_if_available\n"
+    for t in grid:
+        v = 0.0
+        if t > 0:
+            v = nu_rational(Interval(Fraction(0), float(t)), q_max, sieve, weight=weight).value
+        yield f"{_fmt(t)},{_fmt(v)},\n"
+
+
 def cmd_nu(args) -> None:
+    if args.tmax is not None and args.tmax < 0:
+        raise _Refusal(EXIT_USAGE, "--tmax must be at least 0")
     grid = _parse_grid(args.grid) if args.grid else None
     size = max(args.qmax, args.tmax or 1, 16)
     _require_bytes(_measure_bytes(size, args.qmax, args.tmax or 0), f"tables up to {size}")
     sieve = build_factor_sieve(size)
-    rows = []
     if grid is not None:
-        for t in grid:
-            if t <= 0:
-                rows.append((t, 0.0, ""))
-                continue
-            part = nu_rational(Interval(Fraction(0), float(t)), args.qmax, sieve, weight=args.weight)
-            rows.append((t, part.value, ""))
-        lines = ["t,nu_cumulative_rational,nu_cumulative_fourier_if_available"]
-        lines += [f"{_fmt(t)},{_fmt(v)},{other}" for t, v, other in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_grid_rows(grid, args.qmax, sieve, args.weight), args.out)
         return
     interval = Interval.parse(args.E)
     ev = evaluate_nu(interval, args.qmax, args.tmax, sieve, weight=args.weight)
@@ -318,7 +337,8 @@ def cmd_nu(args) -> None:
         ],
     }
     for kind in ("rational", "fourier"):
-        # an infinite bound (t_max = 0, E up to inf) is written as null plus a flag
+        # an infinite bound (t_max = 0; E.hi = inf, or E.hi^(w/2) past the
+        # float range) is written as null plus a flag
         unbounded = report[f"{kind}_tail_bound"] == math.inf
         report[f"{kind}_tail_unbounded"] = unbounded
         if unbounded:
@@ -403,18 +423,7 @@ def cmd_propcircle(args) -> None:
     sieve = build_factor_sieve(int(size))
     window = make_window()
     chk = prop_circle_check(args.a, args.q, args.theta, args.x, window, sieve, t_mult=args.tmult)
-    report = {
-        "a": chk.a,
-        "q": chk.q,
-        "theta": chk.theta,
-        "x": chk.x,
-        "t_max": chk.t_max,
-        "lhs": chk.lhs,
-        "main_term": chk.main_term,
-        "residual": chk.residual,
-        "hat_error": chk.hat_error,
-    }
-    _emit_json(report, args.out)
+    _emit_json(dataclasses.asdict(chk), args.out)
 
 
 def cmd_window_selftest(args) -> None:
@@ -439,8 +448,7 @@ def cmd_window_selftest(args) -> None:
         grid = w.hat_grid(x, int(t[-1]))[t]
         gap = float(np.max(np.abs(grid - w.hat_many(t / x))))
         checks.append((f"FFT grid = quadrature at x = {x:g}", gap < 1e-13))
-    for name, passed in checks:
-        print(f"{'PASS' if passed else 'FAIL'}  {name}")
+    _emit((f"{'PASS' if passed else 'FAIL'}  {name}\n" for name, passed in checks), None)
     failed = [name for name, passed in checks if not passed]
     if failed:
         raise _Refusal(EXIT_VERIFY, f"window self-test failed: {'; '.join(failed)}")

@@ -50,9 +50,13 @@ class Interval:
     hi: Fraction | float
 
     def __post_init__(self):
-        if float(self.lo) < 0:
+        try:
+            lo, hi = float(self.lo), float(self.hi)
+        except OverflowError:  # an exact endpoint past the float range
+            raise ValueError("interval endpoints must lie in the float range") from None
+        if lo < 0:
             raise ValueError("interval must sit in y >= 0")
-        if not float(self.lo) < float(self.hi):
+        if not lo < hi:
             raise ValueError("interval needs lo < hi")
 
     @staticmethod
@@ -174,7 +178,10 @@ def _rational_tail_bound(E: Interval, w: int, q_max: int) -> float:
         L = 1.0 / ((w - 1) * math.sqrt(v))
     Q = max(q_max, 16)
     G = _EULER_GAMMA_EXP * (math.log(math.log(Q)) + 1.0) + 2.51
-    return v ** (w / 2.0) * G * (L + 1.0 / Q) / Q
+    try:
+        return v ** (w / 2.0) * G * (L + 1.0 / Q) / Q
+    except OverflowError:  # v^(w/2) past the float range: no finite bound
+        return math.inf
 
 
 _ISQRT = np.frompyfunc(math.isqrt, 1, 1)
@@ -361,6 +368,9 @@ def _oscillatory_integrals(E: Interval, tmax: int, w: int) -> np.ndarray:
 
 # floor of the reported quadrature error of nu_fourier
 _QUAD_TOL = 1e-9
+# the y on which nu_fourier is evaluated: its closed forms take y^(3/2) and
+# y^(-3/2) and sum them over t, which stays far inside the float range here
+_FOURIER_RANGE = 2.0**-600, 2.0**600
 
 
 def nu_fourier(
@@ -385,12 +395,11 @@ def nu_fourier(
     therefore tapered by the smooth window, weight W(t/t_max): it falls from
     1 at t = 0 through 0.877 at t_max/4 and 1/2 at t_max/2 to 0 at t_max.
     The smoothed remainder is governed only by atoms within ~1/t_max of the
-    endpoints.
+    endpoints.  E must lie in 2^-600 < y < 2^600 (``_FOURIER_RANGE``).
     """
-    if float(E.lo) <= 0:
-        raise ValueError("Fourier form needs a strictly positive lower endpoint")
-    if not math.isfinite(float(E.hi)):
-        raise ValueError("Fourier form needs a finite upper endpoint")
+    lo, hi = _FOURIER_RANGE
+    if not (lo < float(E.lo) and float(E.hi) < hi):
+        raise ValueError("Fourier form needs 2^-600 < E.lo and E.hi < 2^600")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     w = {"cubic": 3, "quartic": 4}[weight]
@@ -427,8 +436,10 @@ def evaluate_nu(
 ) -> NuEvaluation:
     rat = nu_rational(E, q_max, sieve, weight=weight)
     four = None
-    # the Fourier form needs 0 < lo and hi < inf; otherwise only the rational one
-    if t_max is not None and float(E.lo) > 0 and math.isfinite(float(E.hi)):
+    # the Fourier form needs E inside _FOURIER_RANGE, so 0 < lo and hi < inf;
+    # elsewhere only the rational one
+    lo, hi = _FOURIER_RANGE
+    if t_max is not None and lo < float(E.lo) and float(E.hi) < hi:
         four = nu_fourier(E, t_max, sieve, weight=weight)
     return NuEvaluation(
         E=E,
@@ -514,12 +525,9 @@ class CircleCheck:
     t_max: int
     lhs: float
     main_term: float
+    residual: float  # lhs - main_term
     # largest |FFT grid - panel quadrature| of W-hat over the probed t/x
     hat_error: float
-
-    @property
-    def residual(self) -> float:
-        return self.lhs - self.main_term
 
 
 def prop_circle_check(
@@ -565,5 +573,6 @@ def prop_circle_check(
     probe = np.linspace(0, t_max, _HAT_PROBES).astype(np.int64)
     hat_error = float(np.max(np.abs(what[probe] - window.hat_many(probe / float(x)))))
     return CircleCheck(
-        a=a, q=q, theta=theta, x=x, t_max=t_max, lhs=lhs, main_term=main, hat_error=hat_error
+        a=a, q=q, theta=theta, x=x, t_max=t_max, lhs=lhs, main_term=main,
+        residual=lhs - main, hat_error=hat_error,
     )

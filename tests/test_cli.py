@@ -2,6 +2,8 @@ import argparse
 import ast
 import json
 import math
+import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -93,6 +95,56 @@ def test_trace_at_large_weight_is_finite(tmp_path):
         assert math.isfinite(norm) and abs(norm) <= dim * divisors * (1 + 1e-12), n
         assert norm == 0 if tr == 0 else (norm < 0) == (tr < 0), n
     assert abs(int(rows[0][1])) == dim
+
+
+def test_trace_verify_mismatch_keeps_the_checked_rows(tmp_path, capsys, monkeypatch):
+    # rows are written as they are made: a mismatch at n exits 4 and leaves
+    # the rows 1 .. n - 1, each of them checked
+    real_oracle = cli.oracle_trace
+    monkeypatch.setattr(cli, "oracle_trace", lambda k, n: real_oracle(k, n) + (n == 7))
+    out = tmp_path / "trace.tsv"
+    assert main(["trace", "--k", "12", "--nmax", "20", "--verify", "--out", str(out)]) == 4
+    rows = [line.split("\t") for line in out.read_text().splitlines()]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(n, real_oracle(12, n)) for n in range(1, 7)]
+    assert capsys.readouterr().err.startswith("error: oracle mismatch at n=7: ")
+
+
+@pytest.mark.parametrize(
+    "k, name, code, message",
+    [
+        (12, "nodir/t.tsv", 2, "cannot write"),
+        (13, "t.tsv", 1, "--k must be an even integer, at least 2"),
+        (0, "t.tsv", 1, "--k must be an even integer, at least 2"),
+        (-2, "t.tsv", 1, "--k must be an even integer, at least 2"),
+    ],
+    ids=["unwritable-out", "odd-weight", "zero-weight", "negative-weight"],
+)
+def test_trace_refuses_before_any_trace(k, name, code, message, tmp_path, capsys, monkeypatch):
+    # rows are written as they are made, so every refusal comes before a
+    # trace is computed or the output is opened
+    def no_trace(*args):
+        raise AssertionError("a trace was computed before the refusal")
+
+    monkeypatch.setattr(cli, "trace_hecke", no_trace)
+    out = tmp_path / name
+    assert main(["trace", f"--k={k}", "--nmax", "5", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_trace_past_the_int_to_str_limit(tmp_path):
+    # at k = 10^4 the traces have up to 7 387 digits, past the interpreter's
+    # default limit of 4 300 for int-to-str; that limit stays as it was
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    out = tmp_path / "trace.tsv"
+    assert main(["trace", "--k", "10000", "--nmax", "30", "--out", str(out)]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    rows = [line.split("\t") for line in out.read_text().splitlines()]
+    assert [int(r[0]) for r in rows] == list(range(1, 31))
+    assert all(re.fullmatch(r"-?[0-9]+", r[1]) and math.isfinite(float(r[2])) for r in rows)
+    assert max(len(r[1]) for r in rows) > 4300
+    assert rows[0][1] == str(10000 // 12)  # dim S_k(1), as k = 4 mod 12
 
 
 @pytest.mark.parametrize("k, nmax", [(24, 5000), (12, 10**4 + 1)])
@@ -367,6 +419,7 @@ def test_io_error_paths(tmp_path):
         (["propcircle", "--a", "1", "--q", "1", "--x", "10", "--tmult", "-1"], 1,
          "t_mult * x must be at least 1"),
         (["nu", "--grid", "0:2:0"], 1, "--grid count must be positive"),
+        (["nu", "--E", "0:4", "--tmax", "-5"], 1, "--tmax must be at least 0"),
         (["nu", "--grid", "1:2"], 1, "--grid must look like 'start:end:count'"),
         (["murmur", "--K", "inf", "--H", "10", "--delta", "0", "--E", "0:2",
           "--out", "{tmp}/m.csv"], 1, "argument --K: expected a finite number"),
@@ -402,6 +455,7 @@ def test_io_error_paths(tmp_path):
         "trace-verify-mismatch", "trace-verify-zero-nmax", "trace-negative-nmax",
         "murmur-beyond-memory", "sieve-beyond-memory",
         "propcircle-zero-tmult", "propcircle-negative-tmult", "nu-grid-zero-count",
+        "nu-negative-tmax",
         "nu-grid-malformed", "murmur-infinite-K", "murmur-K-without-float-N",
         "propcircle-infinite-x", "propcircle-nan-theta", "propcircle-t-span-minus-inf",
         "nu-zero-denominator", "nu-grid-infinite-end", "compare-missing-column",
@@ -511,6 +565,37 @@ def test_float_option_sweep(command, option, value, tmp_path, capsys, monkeypatc
     assert code == 0 or "error: " in err
 
 
+# interval endpoints at and past the float range, below its normal range,
+# NaN, infinite and with a zero denominator
+_INTERVALS = ["0:1e308", "1e300:1e308", "0:1" + "0" * 400, "1e-320:1e-310", "nan:1", "0:inf",
+              "1/0:2"]
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the row
+@pytest.mark.parametrize(
+    "value", _INTERVALS,
+    ids=["0:1e308", "1e300:1e308", "0:1e400-exact", "1e-320:1e-310", "nan:1", "0:inf", "1/0:2"],
+)
+@pytest.mark.parametrize(
+    "base, option",
+    [
+        (["murmur", "--K", "230", "--H", "30", "--delta", "0", "--out", "{tmp}/m.csv"], "--E={}"),
+        (["nu", "--qmax", "200", "--tmax", "100"], "--E={}"),
+        (["nu", "--qmax", "200", "--tmax", "100", "--weight", "quartic"], "--E={}"),
+        (["nu", "--qmax", "200"], "--grid={}:3"),
+    ],
+    ids=["murmur-E", "nu-E", "nu-quartic-E", "nu-grid"],
+)
+def test_interval_option_sweep(base, option, value, tmp_path, capsys, monkeypatch):
+    # 64 MiB: no row may allocate large tables
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 64 << 20)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in base] + [option.format(value)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in {0, 1, 2, 3, 4} and "Traceback" not in err
+    assert code == 0 or "error: " in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -528,10 +613,16 @@ def test_float_option_sweep(command, option, value, tmp_path, capsys, monkeypatc
          "--out", "{tmp}/r.csv"],
         ["murmur", "--K", "1500", "--H", "100", "--delta", "0", "--E", "0:2",
          "--domain", "integers", "--out", "{tmp}/r.csv"],
+        # the class sieve's head batch dominates a small sieve
+        ["sieve", "--dmax", "80000", "--out", "{tmp}/cls.bin"],
+        # rows written as they are made: tables, one n and the head batch
+        ["trace", "--k", "12", "--nmax", "20000", "--out", "{tmp}/t.tsv"],
+        ["trace", "--k", "1000", "--nmax", "600", "--out", "{tmp}/t.tsv"],
     ],
     ids=["nu-q-3e4", "nu-q-1e5", "nu-t-2.5e5", "nu-t-1e6", "propcircle-x-1e3",
          "propcircle-x-1e4", "propcircle-tmult-4e3", "sieve-1e6", "trace-k12",
-         "trace-k1000", "murmur-3850", "murmur-integers-1500"],
+         "trace-k1000", "murmur-3850", "murmur-integers-1500", "sieve-8e4",
+         "trace-k12-2e4", "trace-k1000-600"],
 )
 def test_memory_estimate_covers_the_peak(argv, monkeypatch, capsys, tmp_path):
     # the estimate the command checks, against the peak of its own run; the
