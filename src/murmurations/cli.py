@@ -97,7 +97,8 @@ def _emit_json(payload: dict, path) -> None:
 #   overhead, 27 kB at k = 12, n = 20 000, is inside the command's
 #   allowance); murmur adds the kernel's arrays of one pass (2.6 MB
 #   measured with 16 384 points) and, per summation point, the two
-#   elliptic rows and the series arrays (about 160 bytes measured);
+#   elliptic rows and the series arrays (about 95 bytes measured, 170
+#   while the CSV was joined before it was written);
 # - sieve, trace, murmur: and the command's own allocations, the parser and
 #   the lazy imports (0.2-0.3 MB measured), and one batch of the class
 #   sieve's heads, about 2^16 terms (1.23 MB measured);
@@ -122,7 +123,7 @@ _SIEVE_BYTES = 2 + 2
 _CONTEXT_BYTES = 2 + 2 + 8 + 1
 _TRACE_VALUES = 16
 _PASS_BYTES = 3 << 20
-_POINT_BYTES = 200
+_POINT_BYTES = 128
 _RUN_BYTES = 1 << 19
 _HEAD_BYTES = 3 << 19
 _MEASURE_BYTES = 4 + 1 + 1 + 8 + 8

@@ -618,11 +618,14 @@ def test_interval_option_sweep(base, option, value, tmp_path, capsys, monkeypatc
         # rows written as they are made: tables, one n and the head batch
         ["trace", "--k", "12", "--nmax", "20000", "--out", "{tmp}/t.tsv"],
         ["trace", "--k", "1000", "--nmax", "600", "--out", "{tmp}/t.tsv"],
+        # the per-point arrays dominate, now that the CSV is not held
+        ["murmur", "--K", "3000", "--H", "100", "--delta", "0", "--E", "0:2",
+         "--domain", "integers", "--out", "{tmp}/r.csv"],
     ],
     ids=["nu-q-3e4", "nu-q-1e5", "nu-t-2.5e5", "nu-t-1e6", "propcircle-x-1e3",
          "propcircle-x-1e4", "propcircle-tmult-4e3", "sieve-1e6", "trace-k12",
          "trace-k1000", "murmur-3850", "murmur-integers-1500", "sieve-8e4",
-         "trace-k12-2e4", "trace-k1000-600"],
+         "trace-k12-2e4", "trace-k1000-600", "murmur-integers-3000"],
 )
 def test_memory_estimate_covers_the_peak(argv, monkeypatch, capsys, tmp_path):
     # the estimate the command checks, against the peak of its own run; the
