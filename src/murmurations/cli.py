@@ -19,7 +19,7 @@ from .classnum import load_class_numbers, save_class_numbers, sieve_class_number
 from .murmur import MurmurationRequest, compute_series
 from .nu import Interval, evaluate_nu, nu_rational, prop_circle_check
 from .qexp import oracle_trace
-from .trace import TableBoundError, TraceContext, trace_hecke
+from .trace import TableBoundError, TraceContext, _workers, trace_hecke
 from .window import cosine_progression_sum, make_window, poisson_weight_sum
 
 EXIT_OK = 0
@@ -95,10 +95,14 @@ def _emit_json(payload: dict, path) -> None:
 #   of n, the products and the text of the row (6 to 10 values past
 #   2 sqrt(n) measured at k = 10^3 to 10^5; at small k the objects' own
 #   overhead, 27 kB at k = 12, n = 20 000, is inside the command's
-#   allowance); murmur adds the kernel's arrays of one pass (2.6 MB
-#   measured with 16 384 points) and, per summation point, the two
-#   elliptic rows and the series arrays (about 95 bytes measured, 170
-#   while the CSV was joined before it was written);
+#   allowance); trace --verify adds the oracle's build, _SERIES_COPIES
+#   times the bytes of its coefficients (21-30 measured from an empty
+#   store, 5.44 MB at k = 24 and n_max = 4 999, whose series holds 10^4
+#   coefficients, the oracle's limit); murmur adds the kernel's arrays of
+#   one pass per worker process (2.6 MB measured with 16 384 points; a
+#   child allocates only its passes and its rows) and, per summation
+#   point, the two elliptic rows and the series arrays (about 95 bytes
+#   measured, 170 while the CSV was joined before it was written);
 # - sieve, trace, murmur: and the command's own allocations, the parser and
 #   the lazy imports (0.2-0.3 MB measured), and one batch of the class
 #   sieve's heads, about 2^16 terms (1.23 MB measured);
@@ -122,6 +126,7 @@ def _emit_json(payload: dict, path) -> None:
 _SIEVE_BYTES = 2 + 2
 _CONTEXT_BYTES = 2 + 2 + 8 + 1
 _TRACE_VALUES = 16
+_SERIES_COPIES = 32
 _PASS_BYTES = 3 << 20
 _POINT_BYTES = 128
 _RUN_BYTES = 1 << 19
@@ -230,7 +235,12 @@ def cmd_trace(args) -> None:
     if args.k < 2 or args.k % 2:
         raise _Refusal(EXIT_USAGE, "--k must be an even integer, at least 2")
     bits = (args.k - 1) / 2 * math.log2(4 * args.nmax)
-    ctx = _load_context(args, 4 * args.nmax, (2 * math.sqrt(args.nmax) + _TRACE_VALUES) * bits / 8)
+    extra = (2 * math.sqrt(args.nmax) + _TRACE_VALUES) * bits / 8
+    if args.verify:
+        # the oracle's series, 2 n_max + 2 coefficients at k = 24 (fewer at
+        # the other weights), and the products that build them
+        extra += _SERIES_COPIES * (2 * args.nmax + 2) * bits / 8
+    ctx = _load_context(args, 4 * args.nmax, extra)
     _emit(_trace_rows(ctx, args.k, args.nmax, args.verify), args.out)
     if args.verify:
         print(f"verified against q-expansion oracle for k={args.k}", file=sys.stderr)
@@ -258,7 +268,10 @@ def cmd_murmur(args) -> None:
     points = reach
     if args.domain == "primes" and reach >= 3:
         points = 1.26 * reach / math.log(reach)  # pi(x) < 1.26 x / ln x (Rosser-Schoenfeld)
-    extra = _PASS_BYTES + _POINT_BYTES * points
+    # one kernel pass per worker process; a point has at most 2 sqrt(reach) terms
+    terms = 2 * points * math.sqrt(reach)
+    workers = _workers(int(terms)) if math.isfinite(terms) else 1
+    extra = _PASS_BYTES * workers + _POINT_BYTES * points
     _require_memory(4 * reach, _CONTEXT_BYTES, extra)
     series = compute_series(req, _load_context(args, 4 * int(reach) + 4, extra))
     _emit(_series_csv(series), args.out)

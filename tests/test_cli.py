@@ -2,6 +2,7 @@ import argparse
 import ast
 import json
 import math
+import os
 import re
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from murmurations import cli, nu
+from murmurations import cli, nu, qexp, trace
 from murmurations.cli import main
 from murmurations.classnum import load_class_numbers, sieve_class_numbers, save_class_numbers
 
@@ -615,17 +616,21 @@ def test_interval_option_sweep(base, option, value, tmp_path, capsys, monkeypatc
          "--domain", "integers", "--out", "{tmp}/r.csv"],
         # the class sieve's head batch dominates a small sieve
         ["sieve", "--dmax", "80000", "--out", "{tmp}/cls.bin"],
-        # rows written as they are made: tables, one n and the head batch
-        ["trace", "--k", "12", "--nmax", "20000", "--out", "{tmp}/t.tsv"],
+        # rows written as they are made: tables, one n and the head batch,
+        # which a sieve to 48 000 fills near its 2^16 terms while the tables
+        # stay small (k = 2 keeps the traced loop short)
+        ["trace", "--k", "2", "--nmax", "12000", "--out", "{tmp}/t.tsv"],
         ["trace", "--k", "1000", "--nmax", "600", "--out", "{tmp}/t.tsv"],
         # the per-point arrays dominate, now that the CSV is not held
         ["murmur", "--K", "3000", "--H", "100", "--delta", "0", "--E", "0:2",
          "--domain", "integers", "--out", "{tmp}/r.csv"],
+        # the oracle's series, 5 002 coefficients at k = 24
+        ["trace", "--k", "24", "--nmax", "2500", "--verify", "--out", "{tmp}/t.tsv"],
     ],
     ids=["nu-q-3e4", "nu-q-1e5", "nu-t-2.5e5", "nu-t-1e6", "propcircle-x-1e3",
          "propcircle-x-1e4", "propcircle-tmult-4e3", "sieve-1e6", "trace-k12",
          "trace-k1000", "murmur-3850", "murmur-integers-1500", "sieve-8e4",
-         "trace-k12-2e4", "trace-k1000-600", "murmur-integers-3000"],
+         "trace-k2-1.2e4", "trace-k1000-600", "murmur-integers-3000", "trace-verify-k24"],
 )
 def test_memory_estimate_covers_the_peak(argv, monkeypatch, capsys, tmp_path):
     # the estimate the command checks, against the peak of its own run; the
@@ -633,8 +638,12 @@ def test_memory_estimate_covers_the_peak(argv, monkeypatch, capsys, tmp_path):
     # larger one pins the per-entry bytes
     needs = []
     monkeypatch.setattr(cli, "_require_bytes", lambda need, what: needs.append(need))
+    # tracemalloc sees this process only, so the elliptic kernel runs all its
+    # passes here, and the estimate, then of one pass, meets the whole peak
+    monkeypatch.setattr(trace, "_WORKER_TERMS", 1 << 62)
     nu._squarefree_table.cache_clear()
     nu._taper.cache_clear()
+    qexp._SERIES.clear()
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     tracemalloc.start()
     try:
@@ -643,3 +652,45 @@ def test_memory_estimate_covers_the_peak(argv, monkeypatch, capsys, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= needs[0]
+
+
+_MURMUR_600 = ["murmur", "--K", "600", "--H", "60", "--delta", "0", "--E", "0:2", "--out"]
+
+
+def test_memory_estimate_charges_a_pass_per_worker(monkeypatch, capsys, tmp_path):
+    # three usable CPUs and a call large enough for three processes
+    needs = []
+    monkeypatch.setattr(cli, "_require_bytes", lambda need, what: needs.append(need))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    for terms in (1 << 62, 1):
+        monkeypatch.setattr(trace, "_WORKER_TERMS", terms)
+        assert main(_MURMUR_600 + [str(tmp_path / "r.csv")]) == 0
+    # each run checks its estimate before and after it sizes the tables
+    assert len(needs) == 4 and needs[2] - needs[0] == 2 * cli._PASS_BYTES
+
+
+def test_murmur_stdout_once_with_workers(monkeypatch, capfd, tmp_path):
+    # a forked worker ends without flushing this process's stdio buffers,
+    # so text buffered before the kernel runs and the summary print once
+    monkeypatch.setattr(trace, "_WORKER_TERMS", 1 << 62)
+    assert main(_MURMUR_600 + [str(tmp_path / "serial.csv")]) == 0
+    summary = capfd.readouterr().out
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(trace, "_WORKER_TERMS", 1)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    out = tmp_path / "stdout"
+    with open(out, "w") as stream:  # block-buffered, as stdout into a pipe
+        monkeypatch.setattr(sys, "stdout", stream)
+        stream.write("buffered before the kernel;")
+        assert main(_MURMUR_600 + [str(tmp_path / "forked.csv")]) == 0
+    assert len(forks) == 2
+    assert out.read_text() == "buffered before the kernel;" + summary
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()

@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -148,6 +149,32 @@ def test_split_invariance(smoke_context, monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(trace, "_PASS_POINTS", 7)
                 assert np.array_equal(sums(ns), whole)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_worker_invariance(smoke_context, monkeypatch, workers):
+    # each worker process sums its share of the n alone, so the rows of any
+    # worker count are those of one process, bitwise
+    l1 = smoke_context.l1_array()
+    primes = smoke_context.sieve.primes
+    ns = primes[primes <= 2 * analytic_conductor(600).N]
+    windows = [progression_weights(600.0, 60.0, delta) for delta in (0, 1)]
+    whole = trace._passes(ns, windows, l1)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    monkeypatch.setattr(trace, "_WORKER_TERMS", 1)
+    assert np.array_equal(trace.elliptic_sums(ns, windows, l1), whole)
+    assert len(forks) == workers - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_empty_class_raises_beside_a_working_one(smoke_context):

@@ -1,11 +1,14 @@
 import hashlib
 import math
+import os
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from murmurations import trace
 from murmurations.arith import build_factor_sieve
 from murmurations.classnum import sieve_class_numbers
 from murmurations.murmur import MurmurationRequest, compute_series, dimension_S_k
@@ -185,6 +188,87 @@ def test_elliptic_sums_input_contract():
     # an empty window is a row of exact zeros beside the others
     rows = elliptic_sums([3, 5], [(12, 0), (10, 3)], l1)
     assert not rows[0].any() and np.array_equal(rows[1], elliptic_sums([3, 5], [(10, 3)], l1)[0])
+
+
+def _forced_workers(monkeypatch, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    monkeypatch.setattr(trace, "_WORKER_TERMS", 1)
+
+
+def _in_child(parent, action):
+    """A stand-in for trace._passes that runs action in a child and the
+    real passes in the parent."""
+    passes = trace._passes
+
+    def patched(ns, windows, l1):
+        if os.getpid() != parent:
+            return action(ns, windows, l1)
+        return passes(ns, windows, l1)
+
+    return patched
+
+
+def _failing(ns, windows, l1):
+    raise MemoryError
+
+
+def _short(ns, windows, l1):
+    return np.zeros((len(windows), ns.size - 1))
+
+
+def _bad_exit(ns, windows, l1):
+    # every byte written, then a non-zero exit status
+    exit_ = os._exit
+    os._exit = lambda code: exit_(3)
+    return np.zeros((len(windows), ns.size))
+
+
+@pytest.mark.parametrize("action", [_failing, _short, _bad_exit], ids=["raises", "short", "status"])
+def test_failed_worker_share_recomputed(ctx_small, monkeypatch, action):
+    # a child that exits non-zero or writes too few bytes has its share
+    # recomputed by the parent: the rows stay those of one process
+    ns = ctx_small.sieve.primes[:600]
+    windows = [(12, 3), (14, 2)]
+    l1 = ctx_small.l1_array()
+    whole = elliptic_sums(ns, windows, l1)
+    _forced_workers(monkeypatch, 3)
+    monkeypatch.setattr(trace, "_passes", _in_child(os.getpid(), action))
+    assert np.array_equal(elliptic_sums(ns, windows, l1), whole)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_error_raised_in_the_parent(monkeypatch):
+    # a table too short for the later shares fails in the children and
+    # again in the parent, which raises it with its own type
+    l1 = np.ones(4 * 3000)
+    _forced_workers(monkeypatch, 3)
+    with pytest.raises(IndexError):
+        elliptic_sums(np.arange(1, 4000), [(12, 3)], l1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_interrupt_kills_and_reaps_the_workers(ctx_small, monkeypatch):
+    # an interrupt in the parent while the children run kills and reaps
+    # them before it propagates
+    parent = os.getpid()
+    passes = trace._passes
+
+    def interrupted(ns, windows, l1):
+        if os.getpid() != parent:
+            time.sleep(60)
+            return passes(ns, windows, l1)
+        raise KeyboardInterrupt
+
+    _forced_workers(monkeypatch, 3)
+    monkeypatch.setattr(trace, "_passes", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        elliptic_sums(ctx_small.sieve.primes[:600], [(12, 3)], ctx_small.l1_array())
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sieve_covers_n_only(ctx_small, class_table_20k):
