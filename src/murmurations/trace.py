@@ -5,10 +5,10 @@ over weight progressions."""
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import signal
 from dataclasses import dataclass, field
-from typing import NoReturn
 
 import numpy as np
 
@@ -224,8 +224,9 @@ def elliptic_sums(ns, windows, l1: np.ndarray) -> np.ndarray:
     A large call runs in worker processes (``_workers``): the n are cut
     into contiguous shares of equal sum of sqrt(n), about equal numbers of
     terms, and each share past the first goes to a forked child
-    (``_forked``).  By the above, the rows are the same for every number
-    of workers.
+    (``_forked``), which writes its columns in place into rows that live in
+    a shared mapping.  By the above, the rows are the same for every number
+    of workers.  A call with no windows runs in one process.
     """
     windows = [(int(k_min), int(m)) for k_min, m in windows]
     if any(m < 0 for _, m in windows):
@@ -240,10 +241,12 @@ def elliptic_sums(ns, windows, l1: np.ndarray) -> np.ndarray:
     # a point's t-terms, isqrt(4n - 1) of them, grow like sqrt(n)
     weight = np.cumsum(np.sqrt(ns))
     workers = _workers(int(2 * weight[-1]))
-    if workers == 1:
+    # a call with no windows has no rows to map (a mapping of 0 bytes is
+    # invalid)
+    if workers == 1 or not windows:
         return _passes(ns, windows, l1)
     cuts = np.searchsorted(weight, weight[-1] * np.arange(1, workers) / workers)
-    return _forked([share for share in np.split(ns, cuts) if share.size], windows, l1)
+    return _forked(ns, [0, *cuts, ns.size], windows, l1)
 
 
 def _workers(terms: int) -> int:
@@ -262,20 +265,28 @@ def _passes(ns, windows, l1: np.ndarray) -> np.ndarray:
     return np.concatenate([_elliptic_pass(part, windows, l1) for part in passes], axis=1)
 
 
-def _forked(shares, windows, l1: np.ndarray) -> np.ndarray:
-    """The rows of each share, concatenated: the first share here, each other
-    in a child forked for it, which writes its rows to a pipe.
+def _forked(ns, bounds, windows, l1: np.ndarray) -> np.ndarray:
+    """_passes on ns, cut into shares at bounds (ascending, from 0 to
+    ns.size; an empty share is skipped): the first share here, each other
+    in a child forked for it, which writes its columns of the rows in place.
 
-    A child shares the tables with this process, copy on write, and needs
-    nothing sent to it.  It calls only elementwise ufuncs, never the BLAS
-    pool whose threads Python 3.12 and later warn of when forking (a
-    DeprecationWarning, left to the caller's filters).  A child that fails
-    or sends too few bytes has its share recomputed here, so a real error
-    comes up in this process with its own type.  Every child is reaped
-    before the call returns; on any exception here, KeyboardInterrupt
-    included, the children left are killed and reaped first.
+    The rows live in an anonymous shared mapping, where each child writes
+    its own disjoint columns; they are read or overwritten here only once
+    that child is reaped.  A child shares the tables with this process,
+    copy on write, and needs nothing sent to it.  It calls only elementwise
+    ufuncs, never the BLAS pool whose threads Python 3.12 and later warn of
+    when forking (a DeprecationWarning, left to the caller's filters), and
+    ends with os._exit, exit status 0 once its columns are written, without
+    returning into the caller's stack or flushing Python's stdio buffers.
+    A child that exits with a non-zero status has its share recomputed
+    here, so a real error comes up in this process with its own type.
+    Every child is reaped before the call returns; on any exception here,
+    KeyboardInterrupt included, the children left are killed and reaped
+    first.
     """
-    children = []  # [pid or None once reaped, read end or None once closed]
+    rows = np.frombuffer(mmap.mmap(-1, 8 * len(windows) * ns.size)).reshape(len(windows), -1)
+    shares = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    children = []  # the pids not yet reaped
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
     try:
         # the children start with every signal blocked, so that no handler
@@ -283,57 +294,34 @@ def _forked(shares, windows, l1: np.ndarray) -> np.ndarray:
         # here a signal waits until every child is forked and recorded
         signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
         for share in shares[1:]:
-            read, write = os.pipe()
-            children.append([None, read])
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(share, windows, l1, write, [fd for _, fd in children])
-            finally:
-                os.close(write)
-            children[-1][0] = pid
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    rows[:, share] = _passes(ns[share], windows, l1)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append(pid)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        parts = [_passes(shares[0], windows, l1)]
-        for child, share in zip(children, shares[1:]):
-            rows = np.empty((len(windows), share.size))
-            view = memoryview(rows).cast("B")
-            got = 0
-            while got < view.nbytes and (size := os.readv(child[1], [view[got:]])):
-                got += size
-            # each end is marked done before it is closed or reaped, so that
-            # an interrupt between the two leaves nothing to close twice
-            read, child[1] = child[1], None
-            os.close(read)
-            pid, child[0] = child[0], None
-            if os.waitpid(pid, 0)[1] or got < view.nbytes:
-                rows = _passes(share, windows, l1)
-            parts.append(rows)
+        rows[:, shares[0]] = _passes(ns[shares[0]], windows, l1)
+        for pid, share in zip(list(children), shares[1:]):
+            # wait for the exit with signals open, then reap and forget the
+            # pid with them blocked, so that an interrupt finds every child
+            # it has to kill and reap and none reaped already
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+            status = os.waitpid(pid, 0)[1]
+            children.remove(pid)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            if status:
+                rows[:, share] = _passes(ns[share], windows, l1)
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for pid, read in children:
-            if read is not None:
-                os.close(read)
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return np.concatenate(parts, axis=1)
-
-
-def _child(share, windows, l1: np.ndarray, write: int, reads) -> NoReturn:
-    """In a forked child: close the parent's read ends, write the share's
-    rows to the pipe and end the process, exit status 0 once all are
-    written, without returning into the caller's stack or flushing
-    Python's stdio buffers."""
-    code = 1
-    try:
-        for fd in reads:
-            os.close(fd)
-        view = memoryview(_passes(share, windows, l1)).cast("B")
-        while view:
-            view = view[os.write(write, view) :]
-        code = 0
-    finally:
-        os._exit(code)
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return rows
 
 
 def _elliptic_pass(ns, windows, l1: np.ndarray) -> np.ndarray:

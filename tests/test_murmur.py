@@ -171,10 +171,13 @@ def test_worker_invariance(smoke_context, monkeypatch, workers):
     monkeypatch.setattr(os, "fork", counted)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
     monkeypatch.setattr(trace, "_WORKER_TERMS", 1)
+    fds = sorted(os.listdir("/proc/self/fd"))
     assert np.array_equal(trace.elliptic_sums(ns, windows, l1), whole)
     assert len(forks) == workers - 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    # no descriptor left open either
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 def test_empty_class_raises_beside_a_working_one(smoke_context):

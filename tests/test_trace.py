@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import signal
 import time
 from fractions import Fraction
 
@@ -195,6 +196,10 @@ def _forced_workers(monkeypatch, workers):
     monkeypatch.setattr(trace, "_WORKER_TERMS", 1)
 
 
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
 def _in_child(parent, action):
     """A stand-in for trace._passes that runs action in a child and the
     real passes in the parent."""
@@ -223,19 +228,29 @@ def _bad_exit(ns, windows, l1):
     return np.zeros((len(windows), ns.size))
 
 
-@pytest.mark.parametrize("action", [_failing, _short, _bad_exit], ids=["raises", "short", "status"])
+def _killed(ns, windows, l1):
+    # death by a signal rather than an exit status
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "action", [_failing, _short, _bad_exit, _killed], ids=["raises", "short", "status", "signal"]
+)
 def test_failed_worker_share_recomputed(ctx_small, monkeypatch, action):
-    # a child that exits non-zero or writes too few bytes has its share
-    # recomputed by the parent: the rows stay those of one process
+    # a child that exits non-zero, returns too few columns or dies by a
+    # signal has its share recomputed by the parent: the rows stay those
+    # of one process
     ns = ctx_small.sieve.primes[:600]
     windows = [(12, 3), (14, 2)]
     l1 = ctx_small.l1_array()
     whole = elliptic_sums(ns, windows, l1)
     _forced_workers(monkeypatch, 3)
     monkeypatch.setattr(trace, "_passes", _in_child(os.getpid(), action))
+    fds = _open_fds()
     assert np.array_equal(elliptic_sums(ns, windows, l1), whole)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
 
 
 def test_worker_error_raised_in_the_parent(monkeypatch):
@@ -243,10 +258,30 @@ def test_worker_error_raised_in_the_parent(monkeypatch):
     # again in the parent, which raises it with its own type
     l1 = np.ones(4 * 3000)
     _forced_workers(monkeypatch, 3)
+    fds = _open_fds()
     with pytest.raises(IndexError):
         elliptic_sums(np.arange(1, 4000), [(12, 3)], l1)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+def test_forked_call_edge_cases(monkeypatch):
+    # a call with no windows has no rows and runs in one process; windows
+    # that all have m = 0 give exact zeros from the workers; a point fewer
+    # than the workers leaves empty shares, which start no child
+    ns = np.arange(1, 3000)
+    l1 = np.ones(4 * 3000 + 1)
+    one = elliptic_sums([2999], [(12, 3)], l1)
+    _forced_workers(monkeypatch, 3)
+    fds = _open_fds()
+    assert elliptic_sums(ns, [], l1).shape == (0, ns.size)
+    rows = elliptic_sums(ns, [(12, 0), (14, 0)], l1)
+    assert rows.shape == (2, ns.size) and not rows.any()
+    assert np.array_equal(elliptic_sums([2999], [(12, 3)], l1), one)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
 
 
 def test_interrupt_kills_and_reaps_the_workers(ctx_small, monkeypatch):
@@ -261,14 +296,34 @@ def test_interrupt_kills_and_reaps_the_workers(ctx_small, monkeypatch):
             return passes(ns, windows, l1)
         raise KeyboardInterrupt
 
+    def interrupted_while_waiting(ns, windows, l1):
+        # the parent's share done, an interrupt arrives while it waits
+        rows = passes(ns, windows, l1)
+        if os.getpid() != parent:
+            time.sleep(60)
+        else:
+            signal.setitimer(signal.ITIMER_REAL, 0.1)
+        return rows
+
+    def alarm(signum, frame):
+        raise KeyboardInterrupt
+
     _forced_workers(monkeypatch, 3)
-    monkeypatch.setattr(trace, "_passes", interrupted)
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        elliptic_sums(ctx_small.sieve.primes[:600], [(12, 3)], ctx_small.l1_array())
-    assert time.monotonic() - start < 30
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    previous = signal.signal(signal.SIGALRM, alarm)
+    try:
+        for stand_in in (interrupted, interrupted_while_waiting):
+            monkeypatch.setattr(trace, "_passes", stand_in)
+            fds = _open_fds()
+            start = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                elliptic_sums(ctx_small.sieve.primes[:600], [(12, 3)], ctx_small.l1_array())
+            assert time.monotonic() - start < 30
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert _open_fds() == fds
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_sieve_covers_n_only(ctx_small, class_table_20k):
