@@ -6,14 +6,16 @@ from __future__ import annotations
 
 import hashlib
 import math
+import mmap
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .arith import FactorSieve, build_factor_sieve, default_euler_constant, kronecker
+from .workers import run_forked, usable_cpus
 
 __all__ = [
     "DiscriminantFactorization",
@@ -145,6 +147,78 @@ def _add_heads(halves, a_lo: int, a_hi: int, bound: int) -> None:
         np.add.at(half, n >> 2, weights)
 
 
+# the class sieve's cost model, in streamed int32 adds of the body: per a,
+# 2 (bound/4 - a^2) body adds, _HEAD_COST per head term (a^2 / 12 of them)
+# and _A_COST for the pattern, the tiles and the numpy calls; a forked
+# child's share pays _CHILD_COST more.  On a 2-vCPU Xeon, eight ranges of a
+# timed alone at each of 750 532, 5 065 052 and 20 262 216 (5, 3 and 1
+# runs) fit 0.192 ns per body add, 5.99 ns per head term and 5.9 us per a,
+# within 15 % on 22 of the 24 ranges.  Forked with the child from a fixed
+# fraction of a_max, parent and child ended together at 0.56-0.65 of a_max
+# at 750 532 (medians of 9 and 21 in two series), 0.52 at 5 065 052 (3)
+# and 0.56 at 20 262 216 (2), where the model without _CHILD_COST cuts at
+# 0.54 at every bound; 5.8 ms of child overhead moves it to 0.61 at
+# 750 532, and to 0.55 at 5 065 052 and beyond
+_HEAD_COST = 31.0
+_A_COST = 3.1e4
+_CHILD_COST = 3.0e7
+
+# entries per block of the forked sieve's tail add: the parent's resident
+# set counts each page of the child's halves that it reads until it drops
+# it, so it drops them once each block is added.  At 750 532 the tail read
+# whole held 936 KiB of shared pages at the close (1 468 KiB for the whole
+# halves), and read by blocks at most 64 KiB
+_ADD_BLOCK = 1 << 14
+
+# bounds from which sieve_class_numbers forks a child for its large a.  On
+# the same host (medians of 21 alternating calls, two series in one
+# process), the fork took 1.48 / 1.19, 1.37 / 0.97, 1.31 / 0.83,
+# 0.85 / 0.81 and 0.66 / 0.83 times the time of one process at 2, 3, 4, 5
+# and 6 * 10^5, and 0.79 / 0.66 at 750 532; the oracle's 50 564 took
+# 0.015 s with a fork against 0.006 s without
+_FORK_BOUND = 500_000
+
+
+def _sieve_range(halves, a_lo: int, a_hi: int, bound: int) -> None:
+    """Add the reduced forms of every a in [a_lo, a_hi) to the halves (see
+    sieve_class_numbers).  No index below (3 a_lo^2) // 4 is written."""
+    first, terms = a_lo, 0  # the run of a whose heads are not added yet
+    for a in range(a_lo, a_hi):
+        step = 4 * a
+        b = np.arange(a + 1)
+        w = np.full(a + 1, 2, dtype=np.int32)
+        w[0] = w[a] = 1
+        pattern = np.zeros(step, dtype=np.int32)
+        np.add.at(pattern, -(b * b) % step, w)
+        tile = np.empty((-(-_TILE // a), a), dtype=np.int32)
+        for parity, half in enumerate(halves):
+            # p_a[0::4] or p_a[3::4] from i = a^2 on, in rows of the tile
+            tile[...] = pattern[3 * parity :: 4]
+            row = tile.reshape(-1)
+            body = half[a * a :]
+            rows = body.size // row.size
+            block = body[: rows * row.size].reshape(rows, row.size)  # a view: adds in place
+            block += row
+            body[rows * row.size :] += row[: body.size - rows * row.size]
+        terms += a * a // 12
+        if terms >= _HEAD_TERMS or a == a_hi - 1:
+            _add_heads(halves, first, a + 1, bound)
+            first, terms = a + 1, 0
+
+
+def _sieve_forks(bound: float) -> bool:
+    """Whether sieve_class_numbers(bound) runs its large a in a forked child."""
+    return bound >= _FORK_BOUND and usable_cpus() >= 2
+
+
+def _sieve_cut(bound: int, a_max: int) -> int:
+    """The first a of the child's share: the a in [1, a_max] are cut where
+    this process's modelled cost equals the child's with its overhead."""
+    a = np.arange(1, a_max + 1, dtype=np.float64)
+    cost = np.cumsum(2.0 * (bound / 4 - a * a) + _HEAD_COST * a * a / 12 + _A_COST)
+    return 1 + int(np.searchsorted(cost, (cost[-1] + _CHILD_COST) / 2))
+
+
 def sieve_class_numbers(bound: int) -> ClassNumberTable:
     """Count every reduced form (a, b, c), primitive or not, per discriminant
     b^2 - 4ac.
@@ -164,33 +238,47 @@ def sieve_class_numbers(bound: int) -> ClassNumberTable:
       p_a[0::4] in T0 and p_a[3::4] in T3, each added by one broadcast.
     - Head: below 4a^2 lie the terms 4a^2 - b^2 + 4aj with 0 <= 4aj < b^2;
       ``_add_heads`` adds those of a run of a at once.
+
+    From bound _FORK_BOUND on, with two usable CPUs, the a are cut in two
+    shares of equal modelled cost (``_sieve_cut``): this process adds the
+    a below the cut A to its halves while one child forked by
+    ``workers.run_forked`` adds the rest to halves in a shared mapping.
+    The child writes no index below i = (3 A^2) // 4, the first head of
+    a = A, so after the reap only that tail of its halves is read and
+    added here, by blocks whose shared pages leave this process's resident
+    set once added (``_ADD_BLOCK``), and the mapping is closed.  int32
+    adds are exact and commute, so the halves are bitwise those of one
+    process.
     """
     if bound < 4:
         raise ValueError("bound must be at least 4")
     halves = np.zeros(bound // 4 + 1, dtype=np.int32), np.zeros((bound + 1) // 4, dtype=np.int32)
     a_max = math.isqrt(bound // 3)
-    first, terms = 1, 0  # the run of a whose heads are not added yet
-    for a in range(1, a_max + 1):
-        step = 4 * a
-        b = np.arange(a + 1)
-        w = np.full(a + 1, 2, dtype=np.int32)
-        w[0] = w[a] = 1
-        pattern = np.zeros(step, dtype=np.int32)
-        np.add.at(pattern, -(b * b) % step, w)
-        tile = np.empty((-(-_TILE // a), a), dtype=np.int32)
-        for parity, half in enumerate(halves):
-            # p_a[0::4] or p_a[3::4] from i = a^2 on, in rows of the tile
-            tile[...] = pattern[3 * parity :: 4]
-            row = tile.reshape(-1)
-            body = half[a * a :]
-            rows = body.size // row.size
-            block = body[: rows * row.size].reshape(rows, row.size)  # a view: adds in place
-            block += row
-            body[rows * row.size :] += row[: body.size - rows * row.size]
-        terms += a * a // 12
-        if terms >= _HEAD_TERMS or a == a_max:
-            _add_heads(halves, first, a + 1, bound)
-            first, terms = a + 1, 0
+    if not _sieve_forks(bound):
+        _sieve_range(halves, 1, a_max + 1, bound)
+        return ClassNumberTable(bound=bound, halves=halves)
+    cut = _sieve_cut(bound, a_max)
+    lo = 3 * cut * cut // 4
+    mapping = mmap.mmap(-1, 4 * (halves[0].size + halves[1].size))
+    flat = np.frombuffer(mapping, dtype=np.int32)
+    other = flat[: halves[0].size], flat[halves[0].size :]
+
+    def child_share():
+        for half in other:  # a run after a failed child starts from zero
+            half[lo:] = 0
+        _sieve_range(other, cut, a_max + 1, bound)
+
+    run_forked([partial(_sieve_range, halves, 1, cut, bound), child_share])
+    for half, tail, offset in zip(halves, other, (0, 4 * halves[0].size)):
+        for i in range(lo, half.size, _ADD_BLOCK):
+            j = min(i + _ADD_BLOCK, half.size)
+            half[i:j] += tail[i:j]
+            # every page read so far leaves this process's resident set (a
+            # read faults in its neighbours too); the data stays in the
+            # mapping, and a page read again faults back
+            mapping.madvise(mmap.MADV_DONTNEED, 0, offset + 4 * j)
+    del flat, other, tail
+    mapping.close()
     return ClassNumberTable(bound=bound, halves=halves)
 
 

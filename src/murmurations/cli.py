@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import analytic_conductor, build_factor_sieve
-from .classnum import load_class_numbers, save_class_numbers, sieve_class_numbers
+from .classnum import _sieve_forks, load_class_numbers, save_class_numbers, sieve_class_numbers
 from .murmur import MurmurationRequest, compute_series
 from .nu import Interval, evaluate_nu, nu_rational, prop_circle_check
 from .qexp import oracle_trace
@@ -105,7 +105,10 @@ def _emit_json(payload: dict, path) -> None:
 #   measured, 170 while the CSV was joined before it was written);
 # - sieve, trace, murmur: and the command's own allocations, the parser and
 #   the lazy imports (0.2-0.3 MB measured), and one batch of the class
-#   sieve's heads, about 2^16 terms (1.23 MB measured);
+#   sieve's heads, about 2^16 terms (1.23 MB measured), and, where the
+#   sieve forks a child for its large a (classnum._sieve_forks), the
+#   child's int32 halves in a shared mapping, 2 bytes per |D|, which the
+#   child writes and this process reads the tail of;
 # - nu, propcircle: the int32 factor sieve of each q or t, its int64 primes
 #   (under one byte per entry) and its int8 mu, float64 coefficient and
 #   float64 f tables, which stay; the walk builds them in blocks of 2^16 q,
@@ -131,6 +134,7 @@ _PASS_BYTES = 3 << 20
 _POINT_BYTES = 128
 _RUN_BYTES = 1 << 19
 _HEAD_BYTES = 3 << 19
+_SIEVE_FORK_BYTES = 2
 _MEASURE_BYTES = 4 + 1 + 1 + 8 + 8
 _ATOM_BYTES, _ATOM_LOG_BYTES = 120, 13
 _FOURIER_BYTES = 48
@@ -160,8 +164,10 @@ def _require_bytes(need: float, what: str) -> None:
 
 def _require_memory(bound: float, bytes_per_entry: int, extra: float = 0) -> None:
     """Refuse when tables indexed 0..bound, the command's own allocations,
-    one head batch of the class sieve and extra bytes cannot fit in
-    physical memory."""
+    one head batch of the class sieve, its child's halves where it forks one
+    and extra bytes cannot fit in physical memory."""
+    if _sieve_forks(bound):
+        bytes_per_entry += _SIEVE_FORK_BYTES
     need = bytes_per_entry * (bound + 1) + _RUN_BYTES + _HEAD_BYTES + extra
     _require_bytes(need, f"tables up to {bound}")
 

@@ -6,14 +6,14 @@ from __future__ import annotations
 
 import math
 import mmap
-import os
-import signal
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .arith import FactorSieve
 from .classnum import ClassNumberTable, hurwitz6
+from .workers import run_forked, usable_cpus
 
 __all__ = [
     "TableBoundError",
@@ -223,10 +223,11 @@ def elliptic_sums(ns, windows, l1: np.ndarray) -> np.ndarray:
 
     A large call runs in worker processes (``_workers``): the n are cut
     into contiguous shares of equal sum of sqrt(n), about equal numbers of
-    terms, and each share past the first goes to a forked child
-    (``_forked``), which writes its columns in place into rows that live in
-    a shared mapping.  By the above, the rows are the same for every number
-    of workers.  A call with no windows runs in one process.
+    terms, and each share past the first goes to a child forked by the
+    package's one fork helper, ``workers.run_forked``, which the class
+    sieve shares; the child writes its columns in place into rows that live
+    in a shared mapping.  By the above, the rows are the same for every
+    number of workers.  A call with no windows runs in one process.
     """
     windows = [(int(k_min), int(m)) for k_min, m in windows]
     if any(m < 0 for _, m in windows):
@@ -251,12 +252,8 @@ def elliptic_sums(ns, windows, l1: np.ndarray) -> np.ndarray:
 
 def _workers(terms: int) -> int:
     """The processes elliptic_sums runs a call of terms (n, t) terms in: one
-    per _WORKER_TERMS terms, at least one and at most one per usable CPU,
-    and one where the platform cannot fork (macOS has no sched_getaffinity,
-    Windows neither)."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), terms // _WORKER_TERMS))
+    per _WORKER_TERMS terms, at least one and at most one per usable CPU."""
+    return max(1, min(usable_cpus(), terms // _WORKER_TERMS))
 
 
 def _passes(ns, windows, l1: np.ndarray) -> np.ndarray:
@@ -268,59 +265,15 @@ def _passes(ns, windows, l1: np.ndarray) -> np.ndarray:
 def _forked(ns, bounds, windows, l1: np.ndarray) -> np.ndarray:
     """_passes on ns, cut into shares at bounds (ascending, from 0 to
     ns.size; an empty share is skipped): the first share here, each other
-    in a child forked for it, which writes its columns of the rows in place.
-
-    The rows live in an anonymous shared mapping, where each child writes
-    its own disjoint columns; they are read or overwritten here only once
-    that child is reaped.  A child shares the tables with this process,
-    copy on write, and needs nothing sent to it.  It calls only elementwise
-    ufuncs, never the BLAS pool whose threads Python 3.12 and later warn of
-    when forking (a DeprecationWarning, left to the caller's filters), and
-    ends with os._exit, exit status 0 once its columns are written, without
-    returning into the caller's stack or flushing Python's stdio buffers.
-    A child that exits with a non-zero status has its share recomputed
-    here, so a real error comes up in this process with its own type.
-    Every child is reaped before the call returns; on any exception here,
-    KeyboardInterrupt included, the children left are killed and reaped
-    first.
-    """
+    in a child forked for it by ``workers.run_forked``, which writes its
+    columns of the rows in place into a shared mapping."""
     rows = np.frombuffer(mmap.mmap(-1, 8 * len(windows) * ns.size)).reshape(len(windows), -1)
+
+    def write(share):
+        rows[:, share] = _passes(ns[share], windows, l1)
+
     shares = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    children = []  # the pids not yet reaped
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
-    try:
-        # the children start with every signal blocked, so that no handler
-        # (SIGINT's KeyboardInterrupt) raises into the caller's stack there;
-        # here a signal waits until every child is forked and recorded
-        signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-        for share in shares[1:]:
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    rows[:, share] = _passes(ns[share], windows, l1)
-                    code = 0
-                finally:
-                    os._exit(code)
-            children.append(pid)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        rows[:, shares[0]] = _passes(ns[shares[0]], windows, l1)
-        for pid, share in zip(list(children), shares[1:]):
-            # wait for the exit with signals open, then reap and forget the
-            # pid with them blocked, so that an interrupt finds every child
-            # it has to kill and reap and none reaped already
-            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-            signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-            status = os.waitpid(pid, 0)[1]
-            children.remove(pid)
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            if status:
-                rows[:, share] = _passes(ns[share], windows, l1)
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    run_forked([partial(write, share) for share in shares])
     return rows
 
 

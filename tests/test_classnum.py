@@ -1,12 +1,16 @@
 import hashlib
 import math
+import os
 import random
+import signal
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from murmurations import classnum
 from murmurations.arith import build_factor_sieve, default_euler_constant, kronecker
 from murmurations.classnum import (
     ClassNumberTable,
@@ -117,6 +121,153 @@ def test_figure_bound_table_digests(desk_context):
     assert hashlib.sha256(table.forms.tobytes()).hexdigest() == (
         "0a68ce3c99c74318afb159e873706e7303a21364d658d2a4a38a24fee23f4df5"
     )
+
+
+def _sieve_fork_forced(monkeypatch, cut):
+    # two usable CPUs, a fork at every bound, and the child's share from
+    # a = cut(a_max) on
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(classnum, "_FORK_BOUND", 0)
+    monkeypatch.setattr(classnum, "_sieve_cut", lambda bound, a_max: cut(a_max))
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_child_left(fds):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+def _one_process(bound):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classnum, "_FORK_BOUND", 1 << 62)
+        return sieve_class_numbers(bound).halves
+
+
+@pytest.mark.parametrize("bound", [4, 7, 11, 12, 47, 100, 299, 300, 10**4, 750_532])
+def test_sieve_worker_invariance(bound, monkeypatch):
+    # the halves with the child's share cut anywhere, from a = 1 (the
+    # parent runs no a) to a_max and past it (the child runs none), are
+    # bitwise those of one process
+    whole = _one_process(bound)
+    a_max = math.isqrt(bound // 3)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    fds = _open_fds()
+    for cut in sorted({1, 2, a_max // 3, a_max // 2, a_max, a_max + 1, a_max + 2} - {0}):
+        _sieve_fork_forced(monkeypatch, lambda a_max: cut)
+        halves = sieve_class_numbers(bound).halves
+        assert all(half.dtype == np.int32 for half in halves)
+        assert all(np.array_equal(h, w) for h, w in zip(halves, whole)), (bound, cut)
+    assert forks
+    _assert_no_child_left(fds)
+
+
+def test_sieve_child_writes_only_its_tail():
+    # a share from a = A writes no index below (3 A^2) // 4, its first
+    # head, so the parent adds only the tail from there
+    bound = 10**4
+    a_max = math.isqrt(bound // 3)
+    for cut in (1, 2, 10, 30, a_max):
+        halves = np.zeros(bound // 4 + 1, dtype=np.int32), np.zeros((bound + 1) // 4, dtype=np.int32)
+        classnum._sieve_range(halves, cut, a_max + 1, bound)
+        lo = 3 * cut * cut // 4
+        assert not any(half[:lo].any() for half in halves), cut
+        assert any(half[lo] for half in halves), cut
+
+
+def _sieve_in_child(parent, action):
+    """A stand-in for classnum._sieve_range that runs action in a child and
+    the real range in the parent."""
+    sieve_range = classnum._sieve_range
+
+    def patched(halves, a_lo, a_hi, bound):
+        if os.getpid() != parent:
+            return action(sieve_range, halves, a_lo, a_hi, bound)
+        return sieve_range(halves, a_lo, a_hi, bound)
+
+    return patched
+
+
+def _raises_half_written(sieve_range, halves, a_lo, a_hi, bound):
+    sieve_range(halves, a_lo, (a_lo + a_hi) // 2, bound)
+    raise MemoryError
+
+
+def _bad_exit(sieve_range, halves, a_lo, a_hi, bound):
+    # every count written, then a non-zero exit status
+    sieve_range(halves, a_lo, a_hi, bound)
+    exit_ = os._exit
+    os._exit = lambda code: exit_(3)
+
+
+def _killed(sieve_range, halves, a_lo, a_hi, bound):
+    # death by a signal rather than an exit status, after some counts
+    sieve_range(halves, a_lo, a_lo + 1, bound)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "action", [_raises_half_written, _bad_exit, _killed], ids=["raises", "status", "signal"]
+)
+def test_failed_sieve_child_recomputed(monkeypatch, action):
+    # a child that raises, exits non-zero or dies by a signal, after it
+    # wrote some or all of its counts, has its share recomputed here from
+    # zero: the halves stay those of one process
+    bound = 10**4
+    whole = _one_process(bound)
+    _sieve_fork_forced(monkeypatch, lambda a_max: a_max // 2)
+    monkeypatch.setattr(classnum, "_sieve_range", _sieve_in_child(os.getpid(), action))
+    fds = _open_fds()
+    halves = sieve_class_numbers(bound).halves
+    assert all(np.array_equal(h, w) for h, w in zip(halves, whole))
+    _assert_no_child_left(fds)
+
+
+def test_interrupt_kills_and_reaps_the_sieve_child(monkeypatch):
+    # an interrupt in the parent's share kills and reaps the child before
+    # it propagates
+    parent = os.getpid()
+    sieve_range = classnum._sieve_range
+
+    def interrupted(halves, a_lo, a_hi, bound):
+        if os.getpid() != parent:
+            time.sleep(60)
+            return sieve_range(halves, a_lo, a_hi, bound)
+        raise KeyboardInterrupt
+
+    _sieve_fork_forced(monkeypatch, lambda a_max: a_max // 2)
+    monkeypatch.setattr(classnum, "_sieve_range", interrupted)
+    fds = _open_fds()
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        sieve_class_numbers(10**4)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left(fds)
+
+
+def test_sieve_below_the_threshold_never_forks(monkeypatch):
+    # below _FORK_BOUND, and on one usable CPU at any bound, the sieve runs
+    # in one process: the oracle's 50 564 among them
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for bound in (4, 50_564, classnum._FORK_BOUND - 1):
+        sieve_class_numbers(bound)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    sieve_class_numbers(classnum._FORK_BOUND)
 
 
 def test_form_sieve_peak_memory():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from murmurations import cli, nu, qexp, trace
+from murmurations import classnum, cli, nu, qexp, trace
 from murmurations.cli import main
 from murmurations.classnum import load_class_numbers, sieve_class_numbers, save_class_numbers
 
@@ -667,6 +667,37 @@ def test_memory_estimate_charges_a_pass_per_worker(monkeypatch, capsys, tmp_path
         assert main(_MURMUR_600 + [str(tmp_path / "r.csv")]) == 0
     # each run checks its estimate before and after it sizes the tables
     assert len(needs) == 4 and needs[2] - needs[0] == 2 * cli._PASS_BYTES
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sieve", "--dmax", "800000", "--out", "cls.bin"],
+        ["trace", "--k", "12", "--nmax", "200000"],
+        ["murmur", "--K", "3850", "--H", "100", "--delta", "0", "--E", "0:2", "--out", "r.csv"],
+    ],
+    ids=["sieve", "trace", "murmur"],
+)
+def test_memory_estimate_charges_the_sieve_child(argv, monkeypatch, tmp_path):
+    # a bound from the sieve's threshold on is charged the forked child's
+    # halves, 2 bytes per |D|, beside the same bound when it may not fork;
+    # the first estimate refuses, so nothing is built
+    needs = []
+
+    def refuse(need, what):
+        needs.append((need, float(what.split()[-1])))
+        raise cli._Refusal(cli.EXIT_CAPACITY, what)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_require_bytes", refuse)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for fork_bound in (1 << 62, classnum._FORK_BOUND):
+        monkeypatch.setattr(classnum, "_FORK_BOUND", fork_bound)
+        assert main(argv) == cli.EXIT_CAPACITY
+    (serial, bound), (forked, same) = needs
+    assert same == bound >= classnum._FORK_BOUND
+    assert cli._SIEVE_FORK_BYTES == 2
+    assert forked - serial == pytest.approx(2 * (bound + 1), rel=1e-12)
 
 
 def test_murmur_stdout_once_with_workers(monkeypatch, capfd, tmp_path):
