@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from murmurations import trace
-from murmurations.arith import build_factor_sieve
+from murmurations.arith import analytic_conductor, build_factor_sieve
 from murmurations.classnum import sieve_class_numbers
 from murmurations.murmur import MurmurationRequest, compute_series, dimension_S_k
 from murmurations.nu import Interval
@@ -175,6 +175,19 @@ def test_elliptic_sums_error_bound(desk_context):
     for delta, (k_min, m) in enumerate(windows):
         for n, value in zip(ns, rows[delta]):
             assert abs(value - _elliptic_sum_reference(n, k_min, m, l1)) <= 2e-9, (delta, n)
+
+
+def test_elliptic_rows_figure_digest(desk_context):
+    # the rows of the figure run, both windows of K = 3850, H = 100 over the
+    # primes <= 2 N(3850), pinned bitwise
+    primes = desk_context.sieve.primes
+    ns = primes[primes <= 2 * analytic_conductor(3850).N]
+    windows = [progression_weights(3850.0, 100.0, delta) for delta in (0, 1)]
+    rows = elliptic_sums(ns, windows, desk_context.l1_array())
+    assert rows.shape == (2, 16972)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+        "94769bb65ceea0669e52120de643ed81dc5dfcd058d826f18e681ecdf9481489"
+    )
 
 
 def test_elliptic_sums_input_contract():
