@@ -85,16 +85,16 @@ def _emit_json(payload: dict, path) -> None:
 #   the |D| = 0, 3 mod 4, so 2 bytes per |D|, and the u32 cache payload
 #   interleaved from them, 2 more (4.3 and 4.1 bytes per |D| measured at
 #   10^6 and 4*10^6, with the command's own allocations);
-# - trace, murmur: the halves of those counts and of 6H (2 + 2), the float64
-#   L(1) table of every |D| (divided in place in blocks, with no
-#   table-sized temporary) and the int32 factor sieve of n <= |D| / 4, one
-#   byte per |D| (no run path reads the class numbers h, which are derived
-#   only on demand); trace, which writes each row as it is made, adds the
-#   integers of one n, 2 sqrt(n_max) + _TRACE_VALUES values of at most
-#   (k - 1)/2 log2(4 n_max) bits: the Lucas values of every t, the powers
-#   of n, the products and the text of the row (6 to 10 values past
-#   2 sqrt(n) measured at k = 10^3 to 10^5; at small k the objects' own
-#   overhead, 27 kB at k = 12, n = 20 000, is inside the command's
+# - trace, murmur: the halves of those counts and of 6H (2 + 2), which the
+#   elliptic kernel gathers as trace_hecke does, and the int32 factor sieve
+#   of n <= |D| / 4, one byte per |D| (no run path reads the class numbers
+#   h or the L(1) table, which are derived only on demand); trace, which
+#   writes each row as it is made, adds the integers of one n,
+#   2 sqrt(n_max) + _TRACE_VALUES values of at most (k - 1)/2 log2(4 n_max)
+#   bits: the Lucas values of every t, the powers of n, the products and
+#   the text of the row (6 to 10 values past 2 sqrt(n) measured at
+#   k = 10^3 to 10^5; at small k the objects' own overhead, 27 kB at
+#   k = 12, n = 20 000, is inside the command's
 #   allowance); trace --verify adds the oracle's build, _SERIES_COPIES
 #   times the bytes of its coefficients (21-30 measured from an empty
 #   store, 5.44 MB at k = 24 and n_max = 4 999, whose series holds 10^4
@@ -104,7 +104,8 @@ def _emit_json(payload: dict, path) -> None:
 #   point, the two elliptic rows and the series arrays (about 95 bytes
 #   measured, 170 while the CSV was joined before it was written);
 # - sieve, trace, murmur: and the command's own allocations, the parser and
-#   the lazy imports (0.2-0.3 MB measured), and one batch of the class
+#   the lazy imports (0.2-0.3 MB measured); a run that sieves the class
+#   numbers, rather than read them from a cache, adds one batch of the
 #   sieve's heads, about 2^16 terms (1.23 MB measured), and, where the
 #   sieve forks a child for its large a (classnum._sieve_forks), the
 #   child's int32 halves in a shared mapping, 2 bytes per |D|, which the
@@ -127,7 +128,7 @@ def _emit_json(payload: dict, path) -> None:
 # - and an allowance for the blocks of the walk, the window's blocks of
 #   4096 rows (about 10 MiB) and hat_many's cosine blocks (1 MiB).
 _SIEVE_BYTES = 2 + 2
-_CONTEXT_BYTES = 2 + 2 + 8 + 1
+_CONTEXT_BYTES = 2 + 2 + 1
 _TRACE_VALUES = 16
 _SERIES_COPIES = 32
 _PASS_BYTES = 3 << 20
@@ -162,13 +163,14 @@ def _require_bytes(need: float, what: str) -> None:
         )
 
 
-def _require_memory(bound: float, bytes_per_entry: int, extra: float = 0) -> None:
-    """Refuse when tables indexed 0..bound, the command's own allocations,
-    one head batch of the class sieve, its child's halves where it forks one
-    and extra bytes cannot fit in physical memory."""
-    if _sieve_forks(bound):
-        bytes_per_entry += _SIEVE_FORK_BYTES
-    need = bytes_per_entry * (bound + 1) + _RUN_BYTES + _HEAD_BYTES + extra
+def _require_memory(bound: float, entry_bytes: int, extra: float = 0, sieves: bool = True) -> None:
+    """Refuse when tables indexed 0..bound, the command's own allocations
+    and extra bytes cannot fit in physical memory, with, when the run sieves
+    the class numbers, one head batch of the sieve and its child's halves
+    where it forks one."""
+    need = entry_bytes * (bound + 1) + _RUN_BYTES + extra
+    if sieves:
+        need += _HEAD_BYTES + _sieve_forks(bound) * _SIEVE_FORK_BYTES * (bound + 1)
     _require_bytes(need, f"tables up to {bound}")
 
 
@@ -181,8 +183,8 @@ def _measure_bytes(size: float, q_max: float = 0, t_max: float = 0, extra: float
 
 
 def _load_context(args, required_bound: int, extra: float) -> TraceContext:
-    _require_memory(required_bound, _CONTEXT_BYTES, extra)
-    if getattr(args, "cache", None):
+    _require_memory(required_bound, _CONTEXT_BYTES, extra, sieves=not args.cache)
+    if args.cache:
         try:
             table = load_class_numbers(args.cache)
         except OSError as exc:
@@ -191,7 +193,7 @@ def _load_context(args, required_bound: int, extra: float) -> TraceContext:
             raise _Refusal(
                 EXIT_CAPACITY, f"cache bound {table.bound} below required {required_bound}"
             )
-        _require_memory(table.bound, _CONTEXT_BYTES, extra)
+        _require_memory(table.bound, _CONTEXT_BYTES, extra, sieves=False)
     else:
         table = sieve_class_numbers(max(required_bound, 16))
     # only the n of T_n are factored, and the table reaches 4n
@@ -278,7 +280,7 @@ def cmd_murmur(args) -> None:
     terms = 2 * points * math.sqrt(reach)
     workers = _workers(int(terms)) if math.isfinite(terms) else 1
     extra = _PASS_BYTES * workers + _POINT_BYTES * points
-    _require_memory(4 * reach, _CONTEXT_BYTES, extra)
+    _require_memory(4 * reach, _CONTEXT_BYTES, extra, sieves=not args.cache)
     series = compute_series(req, _load_context(args, 4 * int(reach) + 4, extra))
     _emit(_series_csv(series), args.out)
     summary = {

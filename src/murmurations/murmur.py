@@ -156,7 +156,7 @@ def compute_series(req: MurmurationRequest, ctx: TraceContext) -> MurmurationSer
     rows = ctx.elliptic_rows.get(key)
     if rows is None:
         windows = [progression_weights(req.K, req.H, delta) for delta in (0, 1)]
-        rows = elliptic_sums(ns, windows, ctx.l1_array())
+        rows = elliptic_sums(ns, windows, ctx.h6)
         rows.flags.writeable = False
         ctx.elliptic_rows[key] = rows
     sign = 1.0 if req.delta == 0 else -1.0

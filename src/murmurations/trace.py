@@ -52,12 +52,11 @@ class TraceContext:
     ``h6 = (H0, H3)`` holds 6 H(n) as int32, the Hurwitz class numbers of
     every n <= bound, in the halves of the class table: H0[i] = 6 H(4i) and
     H3[i] = 6 H(4i + 3), built on construction.  6 H(4n - t^2) is then
-    ``h6[t & 1][n - (t * t + 3) // 4]``.  The elliptic-term Dirichlet values
-    L(1, psi_D) are materialized lazily from it as one float array indexed
-    by |D|, divided in place block by block, so the build allocates no
-    second array of the table's size.  The factor sieve has to reach only
-    the n of T_n.  ``elliptic_rows`` keeps, for the life of the context, the
-    read-only elliptic sums of both root-number classes that
+    ``h6[t & 1][n - (t * t + 3) // 4]``, which both ``trace_hecke`` and the
+    elliptic kernel read.  ``l1_array`` builds L(1, psi_D) from it on each
+    call, a reference view that no run path reads.  The factor sieve has to
+    reach only the n of T_n.  ``elliptic_rows`` keeps, for the life of the
+    context, the read-only elliptic sums of both root-number classes that
     ``murmur.compute_series`` computed for each (K, H, E, summand domain),
     one float per summation point and class, so the second class and the
     other weightings of a run read them instead of running the kernel again.
@@ -67,7 +66,6 @@ class TraceContext:
     table: ClassNumberTable
     sieve: FactorSieve
     h6: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-    _l1: np.ndarray | None = field(default=None, init=False, repr=False)
     elliptic_rows: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -87,21 +85,22 @@ class TraceContext:
         L(1, psi_D) = pi H(|D|) / sqrt|D| (Zagier), so one division of 6 H:
         each half goes to its places |D| = 4i and 4i + 3 and is divided
         there in place, in blocks of _L1_BLOCK entries, by the square roots
-        of its own |D|.  Entries at |D| = 0 and at non-discriminants are 0.
+        of its own |D|, the operations by which the elliptic kernel weights
+        each term.  Entries at |D| = 0 and at non-discriminants are 0.  The
+        table is built anew on each call: no run path reads it, and it stays
+        as the reference that tests check the kernel's weights against.
         """
-        if self._l1 is None:
-            l1 = np.zeros(self.table.bound + 1)
-            for r, half in zip((0, 3), self.h6):
-                view = l1[r::4]
-                np.multiply(2.0 * math.pi / 12.0, half, out=view)
-                for lo in range(0, view.size, _L1_BLOCK):
-                    hi = min(lo + _L1_BLOCK, view.size)
-                    root = np.arange(4 * lo + r, 4 * hi + r, 4, dtype=np.float64)
-                    if lo == r == 0:
-                        root[0] = 1.0
-                    view[lo:hi] /= np.sqrt(root, out=root)
-            self._l1 = l1
-        return self._l1
+        l1 = np.zeros(self.table.bound + 1)
+        for r, half in zip((0, 3), self.h6):
+            view = l1[r::4]
+            np.multiply(2.0 * math.pi / 12.0, half, out=view)
+            for lo in range(0, view.size, _L1_BLOCK):
+                hi = min(lo + _L1_BLOCK, view.size)
+                root = np.arange(4 * lo + r, 4 * hi + r, 4, dtype=np.float64)
+                if lo == r == 0:
+                    root[0] = 1.0
+                view[lo:hi] /= np.sqrt(root, out=root)
+        return l1
 
 
 def _lucas_u(ts, n: int, m: int) -> list[int]:
@@ -196,11 +195,14 @@ _PASS_POINTS = 1 << 14
 _WORKER_TERMS = 1 << 20
 
 
-def elliptic_sums(ns, windows, l1: np.ndarray) -> np.ndarray:
+def elliptic_sums(ns, windows, h6: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """For each weight window (k_min, m) and each n: sum over t^2 < 4n of
     L(1, psi_{t^2-4n}) times the cosine sum of cos((k-1) phi_{t,n}) over
     the m weights k = k_min + 4j.  Returns one row per window.
 
+    h6 holds 6 H as ``TraceContext.h6`` does, in the halves of |D| = 0 and
+    3 mod 4, and L(1, psi_D) = (2 pi / 12) 6 H(|D|) / sqrt|D| is taken of
+    each gathered value by the operations of ``TraceContext.l1_array``.
     ns must be ascending.  The t = 0 term is m L(1, psi_{-4n}) exactly; the
     t and -t terms are equal.  The loop runs over t >= 1, where the n with
     4n > t^2 are a suffix of ns.  The angle enters only through
@@ -210,7 +212,7 @@ def elliptic_sums(ns, windows, l1: np.ndarray) -> np.ndarray:
     every power from one run of complex squarings and no trigonometric call.
     For t >= 1, sin(2 phi) >= 1/sqrt(n) stays away from 0.
 
-    All windows share z, the squarings, the L(1) gather and the weight
+    All windows share z, the squarings, the 6H gather and the weight
     L(1) / (Re z Im z) of each t; a window with m = 0 gives a row of exact
     zeros and takes no part in the ladder.  Each power is built by the same
     multiplies whatever other exponents the call needs, and each n adds its
@@ -245,9 +247,9 @@ def elliptic_sums(ns, windows, l1: np.ndarray) -> np.ndarray:
     # a call with no windows has no rows to map (a mapping of 0 bytes is
     # invalid)
     if workers == 1 or not windows:
-        return _passes(ns, windows, l1)
+        return _passes(ns, windows, h6)
     cuts = np.searchsorted(weight, weight[-1] * np.arange(1, workers) / workers)
-    return _forked(ns, [0, *cuts, ns.size], windows, l1)
+    return _forked(ns, [0, *cuts, ns.size], windows, h6)
 
 
 def _workers(terms: int) -> int:
@@ -256,13 +258,13 @@ def _workers(terms: int) -> int:
     return max(1, min(usable_cpus(), terms // _WORKER_TERMS))
 
 
-def _passes(ns, windows, l1: np.ndarray) -> np.ndarray:
+def _passes(ns, windows, h6: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """elliptic_sums on a nonempty ascending run of positive ns, in one process."""
     passes = np.array_split(ns, -(-ns.size // _PASS_POINTS))
-    return np.concatenate([_elliptic_pass(part, windows, l1) for part in passes], axis=1)
+    return np.concatenate([_elliptic_pass(part, windows, h6) for part in passes], axis=1)
 
 
-def _forked(ns, bounds, windows, l1: np.ndarray) -> np.ndarray:
+def _forked(ns, bounds, windows, h6: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """_passes on ns, cut into shares at bounds (ascending, from 0 to
     ns.size; an empty share is skipped): the first share here, each other
     in a child forked for it by ``workers.run_forked``, which writes its
@@ -270,21 +272,21 @@ def _forked(ns, bounds, windows, l1: np.ndarray) -> np.ndarray:
     rows = np.frombuffer(mmap.mmap(-1, 8 * len(windows) * ns.size)).reshape(len(windows), -1)
 
     def write(share):
-        rows[:, share] = _passes(ns[share], windows, l1)
+        rows[:, share] = _passes(ns[share], windows, h6)
 
     shares = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     run_forked([partial(write, share) for share in shares])
     return rows
 
 
-def _elliptic_pass(ns, windows, l1: np.ndarray) -> np.ndarray:
+def _elliptic_pass(ns, windows, h6: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """elliptic_sums on a nonempty ascending run of positive ns."""
     ns4 = 4 * ns
     out = np.zeros((len(windows), ns.size))
     active = [(row, 2 * m, k_min - 1 + 2 * (m - 1)) for row, (k_min, m) in enumerate(windows) if m]
     if not active:
         return out
-    l1_t0 = l1[ns4]
+    l1_t0 = np.multiply(2.0 * math.pi / 12.0, h6[0][ns], dtype=np.float64) / np.sqrt(ns4)
     for row, _, _ in active:
         out[row] = windows[row][1] * l1_t0
     exps = sorted({e for _, a, c in active for e in (a, c)})
@@ -292,9 +294,12 @@ def _elliptic_pass(ns, windows, l1: np.ndarray) -> np.ndarray:
     for t in range(1, math.isqrt(int(ns4[-1]) - 1) + 1):
         j = int(np.searchsorted(ns, t * t // 4, side="right"))
         disc = ns4[j:] - t * t
-        re = np.sqrt(disc) * inv_2rn[j:]
+        sq = np.sqrt(disc)
+        re = sq * inv_2rn[j:]
         im = t * inv_2rn[j:]
-        w = l1[disc] / (re * im)
+        # L(1, psi_{-disc}) / (Re z Im z), from 6 H(disc) in the half of t's parity
+        h = h6[t & 1][ns[j:] - (t * t + 3) // 4]
+        w = np.multiply(2.0 * math.pi / 12.0, h, dtype=np.float64) / sq / (re * im)
         z = np.empty(re.size, dtype=np.complex128)
         z.real = re
         z.imag = im
@@ -321,7 +326,7 @@ def eigenvalue_sum_prime(ctx: TraceContext, k: int, p: int) -> float:
     ctx.require(p)
     if not ctx.sieve.is_prime(p):
         raise ValueError(f"{p} is not prime")
-    inner = float(elliptic_sums([p], [(k, 1)], ctx.l1_array())[0, 0])
+    inner = float(elliptic_sums([p], [(k, 1)], ctx.h6)[0, 0])
     sign = 1.0 if k % 4 == 0 else -1.0
     return -math.exp(0.5 * (1 - k) * math.log(p)) + sign * inner / math.pi
 

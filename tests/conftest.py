@@ -50,6 +50,4 @@ def desk_context(sieve_1m):
     # class numbers covering primes up to 2 N(3850): the figure-scale runs
     n = analytic_conductor(3850).N
     bound = 4 * int(2 * n) + 8
-    ctx = TraceContext(table=sieve_class_numbers(bound), sieve=sieve_1m)
-    ctx.l1_array()
-    return ctx
+    return TraceContext(table=sieve_class_numbers(bound), sieve=sieve_1m)

@@ -37,7 +37,6 @@ def figure_runs(sieve_1m):
     bound = 4 * int(2 * n_conductor) + 8
     table = sieve_class_numbers(bound)
     ctx = TraceContext(table=table, sieve=sieve_1m)
-    ctx.l1_array()
     grid = np.linspace(0.02, 2.0, 100)
     nu_curve = np.array(
         [nu_rational(Interval(Fraction(0), float(t)), 2000, sieve_1m).value for t in grid]

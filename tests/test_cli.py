@@ -700,6 +700,38 @@ def test_memory_estimate_charges_the_sieve_child(argv, monkeypatch, tmp_path):
     assert forked - serial == pytest.approx(2 * (bound + 1), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--k", "12", "--nmax", "200000"],
+        ["murmur", "--K", "3850", "--H", "100", "--delta", "0", "--E", "0:2", "--out", "r.csv"],
+    ],
+    ids=["trace", "murmur"],
+)
+def test_memory_estimate_of_a_cache_run_charges_no_sieve(argv, monkeypatch, tmp_path):
+    # a run from a class cache sieves nothing: its estimate is the same
+    # whether or not the sieve would fork from its bound, and lacks the
+    # sieve's head batch; the first estimate refuses, so nothing is read
+    needs = []
+
+    def refuse(need, what):
+        needs.append(need)
+        raise cli._Refusal(cli.EXIT_CAPACITY, what)
+
+    cache = tmp_path / "cls.bin"
+    save_class_numbers(sieve_class_numbers(800_008), cache)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_require_bytes", refuse)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for fork_bound in (classnum._FORK_BOUND, 1 << 62):
+        monkeypatch.setattr(classnum, "_FORK_BOUND", fork_bound)
+        assert main(argv + ["--cache", str(cache)]) == cli.EXIT_CAPACITY
+    assert main(argv) == cli.EXIT_CAPACITY
+    forked, serial, sieved = needs
+    assert forked == serial
+    assert sieved - serial == cli._HEAD_BYTES
+
+
 def test_murmur_stdout_once_with_workers(monkeypatch, capfd, tmp_path):
     # a forked worker ends without flushing this process's stdio buffers,
     # so text buffered before the kernel runs and the summary print once

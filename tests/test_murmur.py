@@ -125,20 +125,20 @@ def test_split_invariance(smoke_context, monkeypatch):
     # each n's elliptic sum is the same sequence of operations on its own
     # values, so pieces, subsets, single n and short passes reproduce the
     # whole bitwise, and so does each row of the call with both windows
-    l1 = smoke_context.l1_array()
+    h6 = smoke_context.h6
     primes = smoke_context.sieve.primes
     ns = primes[primes <= 2 * analytic_conductor(600).N]
     rng = np.random.default_rng(8)
     windows = [progression_weights(600.0, 60.0, delta) for delta in (0, 1)]
-    both = trace.elliptic_sums(ns, windows, l1)
+    both = trace.elliptic_sums(ns, windows, h6)
     assert both.shape == (2, ns.size)
     for delta, window in enumerate(windows):
-        whole = trace.elliptic_sums(ns, [window], l1)[0]
+        whole = trace.elliptic_sums(ns, [window], h6)[0]
         assert np.array_equal(both[delta], whole)
         cuts = [0, 1, 2, 3, 97, 98, 311, ns.size - 1, ns.size]
         for sums in (
-            lambda part: trace.elliptic_sums(part, [window], l1)[0],
-            lambda part: trace.elliptic_sums(part, windows, l1)[delta],
+            lambda part: trace.elliptic_sums(part, [window], h6)[0],
+            lambda part: trace.elliptic_sums(part, windows, h6)[delta],
         ):
             pieces = [sums(ns[a:b]) for a, b in zip(cuts, cuts[1:])]
             assert np.array_equal(np.concatenate(pieces), whole)
@@ -155,11 +155,11 @@ def test_split_invariance(smoke_context, monkeypatch):
 def test_worker_invariance(smoke_context, monkeypatch, workers):
     # each worker process sums its share of the n alone, so the rows of any
     # worker count are those of one process, bitwise
-    l1 = smoke_context.l1_array()
+    h6 = smoke_context.h6
     primes = smoke_context.sieve.primes
     ns = primes[primes <= 2 * analytic_conductor(600).N]
     windows = [progression_weights(600.0, 60.0, delta) for delta in (0, 1)]
-    whole = trace._passes(ns, windows, l1)
+    whole = trace._passes(ns, windows, h6)
     forks = []
     fork = os.fork
 
@@ -172,7 +172,7 @@ def test_worker_invariance(smoke_context, monkeypatch, workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
     monkeypatch.setattr(trace, "_WORKER_TERMS", 1)
     fds = sorted(os.listdir("/proc/self/fd"))
-    assert np.array_equal(trace.elliptic_sums(ns, windows, l1), whole)
+    assert np.array_equal(trace.elliptic_sums(ns, windows, h6), whole)
     assert len(forks) == workers - 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -171,7 +171,7 @@ def test_elliptic_sums_error_bound(desk_context):
     ns = [92419, 122503, 178931]
     l1 = desk_context.l1_array()
     windows = [progression_weights(3850.0, 100.0, delta) for delta in (0, 1)]
-    rows = elliptic_sums(ns, windows, l1)
+    rows = elliptic_sums(ns, windows, desk_context.h6)
     for delta, (k_min, m) in enumerate(windows):
         for n, value in zip(ns, rows[delta]):
             assert abs(value - _elliptic_sum_reference(n, k_min, m, l1)) <= 2e-9, (delta, n)
@@ -183,25 +183,30 @@ def test_elliptic_rows_figure_digest(desk_context):
     primes = desk_context.sieve.primes
     ns = primes[primes <= 2 * analytic_conductor(3850).N]
     windows = [progression_weights(3850.0, 100.0, delta) for delta in (0, 1)]
-    rows = elliptic_sums(ns, windows, desk_context.l1_array())
+    rows = elliptic_sums(ns, windows, desk_context.h6)
     assert rows.shape == (2, 16972)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == (
         "94769bb65ceea0669e52120de643ed81dc5dfcd058d826f18e681ecdf9481489"
     )
 
 
+def _ones_h6(size):
+    # 6H halves of ones, as TraceContext.h6 holds them: n < size
+    return np.ones(size, dtype=np.int32), np.ones(size, dtype=np.int32)
+
+
 def test_elliptic_sums_input_contract():
-    l1 = np.ones(41)
+    h6 = _ones_h6(11)
     with pytest.raises(ValueError, match="positive"):
-        elliptic_sums([0, 3], [(12, 2)], l1)
+        elliptic_sums([0, 3], [(12, 2)], h6)
     with pytest.raises(ValueError, match="ascending"):
-        elliptic_sums([5, 3], [(12, 2)], l1)
+        elliptic_sums([5, 3], [(12, 2)], h6)
     with pytest.raises(ValueError, match="nonnegative"):
-        elliptic_sums([3, 5], [(12, -1)], l1)
-    assert elliptic_sums([], [(12, 2), (10, 3)], l1).shape == (2, 0)
+        elliptic_sums([3, 5], [(12, -1)], h6)
+    assert elliptic_sums([], [(12, 2), (10, 3)], h6).shape == (2, 0)
     # an empty window is a row of exact zeros beside the others
-    rows = elliptic_sums([3, 5], [(12, 0), (10, 3)], l1)
-    assert not rows[0].any() and np.array_equal(rows[1], elliptic_sums([3, 5], [(10, 3)], l1)[0])
+    rows = elliptic_sums([3, 5], [(12, 0), (10, 3)], h6)
+    assert not rows[0].any() and np.array_equal(rows[1], elliptic_sums([3, 5], [(10, 3)], h6)[0])
 
 
 def _forced_workers(monkeypatch, workers):
@@ -218,30 +223,30 @@ def _in_child(parent, action):
     real passes in the parent."""
     passes = trace._passes
 
-    def patched(ns, windows, l1):
+    def patched(ns, windows, h6):
         if os.getpid() != parent:
-            return action(ns, windows, l1)
-        return passes(ns, windows, l1)
+            return action(ns, windows, h6)
+        return passes(ns, windows, h6)
 
     return patched
 
 
-def _failing(ns, windows, l1):
+def _failing(ns, windows, h6):
     raise MemoryError
 
 
-def _short(ns, windows, l1):
+def _short(ns, windows, h6):
     return np.zeros((len(windows), ns.size - 1))
 
 
-def _bad_exit(ns, windows, l1):
+def _bad_exit(ns, windows, h6):
     # every byte written, then a non-zero exit status
     exit_ = os._exit
     os._exit = lambda code: exit_(3)
     return np.zeros((len(windows), ns.size))
 
 
-def _killed(ns, windows, l1):
+def _killed(ns, windows, h6):
     # death by a signal rather than an exit status
     os.kill(os.getpid(), signal.SIGKILL)
 
@@ -255,25 +260,24 @@ def test_failed_worker_share_recomputed(ctx_small, monkeypatch, action):
     # of one process
     ns = ctx_small.sieve.primes[:600]
     windows = [(12, 3), (14, 2)]
-    l1 = ctx_small.l1_array()
-    whole = elliptic_sums(ns, windows, l1)
+    whole = elliptic_sums(ns, windows, ctx_small.h6)
     _forced_workers(monkeypatch, 3)
     monkeypatch.setattr(trace, "_passes", _in_child(os.getpid(), action))
     fds = _open_fds()
-    assert np.array_equal(elliptic_sums(ns, windows, l1), whole)
+    assert np.array_equal(elliptic_sums(ns, windows, ctx_small.h6), whole)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert _open_fds() == fds
 
 
 def test_worker_error_raised_in_the_parent(monkeypatch):
-    # a table too short for the later shares fails in the children and
-    # again in the parent, which raises it with its own type
-    l1 = np.ones(4 * 3000)
+    # halves too short for the later shares (n >= 3000) fail in the
+    # children and again in the parent, which raises it with its own type
+    h6 = _ones_h6(3000)
     _forced_workers(monkeypatch, 3)
     fds = _open_fds()
     with pytest.raises(IndexError):
-        elliptic_sums(np.arange(1, 4000), [(12, 3)], l1)
+        elliptic_sums(np.arange(1, 4000), [(12, 3)], h6)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert _open_fds() == fds
@@ -284,14 +288,14 @@ def test_forked_call_edge_cases(monkeypatch):
     # that all have m = 0 give exact zeros from the workers; a point fewer
     # than the workers leaves empty shares, which start no child
     ns = np.arange(1, 3000)
-    l1 = np.ones(4 * 3000 + 1)
-    one = elliptic_sums([2999], [(12, 3)], l1)
+    h6 = _ones_h6(3000)
+    one = elliptic_sums([2999], [(12, 3)], h6)
     _forced_workers(monkeypatch, 3)
     fds = _open_fds()
-    assert elliptic_sums(ns, [], l1).shape == (0, ns.size)
-    rows = elliptic_sums(ns, [(12, 0), (14, 0)], l1)
+    assert elliptic_sums(ns, [], h6).shape == (0, ns.size)
+    rows = elliptic_sums(ns, [(12, 0), (14, 0)], h6)
     assert rows.shape == (2, ns.size) and not rows.any()
-    assert np.array_equal(elliptic_sums([2999], [(12, 3)], l1), one)
+    assert np.array_equal(elliptic_sums([2999], [(12, 3)], h6), one)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert _open_fds() == fds
@@ -303,15 +307,15 @@ def test_interrupt_kills_and_reaps_the_workers(ctx_small, monkeypatch):
     parent = os.getpid()
     passes = trace._passes
 
-    def interrupted(ns, windows, l1):
+    def interrupted(ns, windows, h6):
         if os.getpid() != parent:
             time.sleep(60)
-            return passes(ns, windows, l1)
+            return passes(ns, windows, h6)
         raise KeyboardInterrupt
 
-    def interrupted_while_waiting(ns, windows, l1):
+    def interrupted_while_waiting(ns, windows, h6):
         # the parent's share done, an interrupt arrives while it waits
-        rows = passes(ns, windows, l1)
+        rows = passes(ns, windows, h6)
         if os.getpid() != parent:
             time.sleep(60)
         else:
@@ -329,7 +333,7 @@ def test_interrupt_kills_and_reaps_the_workers(ctx_small, monkeypatch):
             fds = _open_fds()
             start = time.monotonic()
             with pytest.raises(KeyboardInterrupt):
-                elliptic_sums(ctx_small.sieve.primes[:600], [(12, 3)], ctx_small.l1_array())
+                elliptic_sums(ctx_small.sieve.primes[:600], [(12, 3)], ctx_small.h6)
             assert time.monotonic() - start < 30
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
@@ -419,44 +423,52 @@ def test_l1_array_block_edges(bound, sieve_1m):
     assert np.array_equal(ctx.l1_array(), _l1_one_shot(ctx))
 
 
+def _unit_h6(n, t):
+    # 6H halves up to n that are zero except for a unit 6H(4n - t^2)
+    h6 = np.zeros(n + 1, dtype=np.int32), np.zeros(n + 1, dtype=np.int32)
+    h6[t & 1][n - (t * t + 3) // 4] = 1
+    return h6
+
+
 def test_elliptic_sums_t0_term():
-    # a table that is zero except at 4n leaves only t = 0: m L(1, psi_{-4n})
+    # 6H halves that are zero except at 4n leave only t = 0: m L(1, psi_{-4n})
     k_min, m = progression_weights(600.0, 60.0, 0)
     for n in (1, 7, 1009):
-        l1 = np.zeros(4 * n + 1)
-        l1[4 * n] = 0.7
-        assert elliptic_sums([n], [(k_min, m)], l1)[0, 0] == m * 0.7, n
+        h6 = _unit_h6(n, 0)
+        h6[0][n] = 7
+        l1 = 2.0 * math.pi / 12.0 * 7 / math.sqrt(4 * n)
+        assert elliptic_sums([n], [(k_min, m)], h6)[0, 0] == m * l1, n
 
 
 def test_progression_cosine_sum_vs_direct(sieve_1m):
     # the progression cosine sum of the K = 3850 window, read off the one
-    # remaining kernel: a unit L(1) value at 4p - t^2 isolates the (p, t)
-    # term, which enters for t and -t.  These t put phi near 0.3, pi/4, 1.1
+    # remaining kernel: a unit 6H value at 4p - t^2 isolates the (p, t)
+    # term, which enters for t and -t with the weight L(1) of that 6H.
+    # These t put phi near 0.3, pi/4, 1.1
     p = 187631
     k_min, m = progression_weights(3850.0, 100.0, 0)
     ks = [k_min + 4 * j for j in range(m)]
     assert m == 50
     for t in (256, 613, 772):
-        l1 = np.zeros(4 * p + 1)
-        l1[4 * p - t * t] = 1.0
+        l1 = 2.0 * math.pi / 12.0 / math.sqrt(4 * p - t * t)
         phi = math.atan2(t, math.sqrt(4 * p - t * t))
         direct = math.fsum(math.cos((k - 1) * phi) for k in ks)
-        got = elliptic_sums([p], [(k_min, m)], l1)[0, 0] / 2.0
-        assert abs(got - direct) < 1e-10, t
+        got = elliptic_sums([p], [(k_min, m)], _unit_h6(p, t))[0, 0] / 2.0
+        assert abs(got - direct * l1) < 1e-10 * l1, t
 
 
 def test_elliptic_sums_vs_direct_cosine_sum(sieve_1m):
-    # p = 187 631, the largest prime of the K = 3850 figure; one unit L(1)
-    # value isolates the (p, t) term, which enters for t and -t.  The two
-    # ends of the t range put phi near 0 and near pi/2
+    # p = 187 631, the largest prime of the K = 3850 figure; one unit 6H
+    # value isolates the (p, t) term, which enters for t and -t with the
+    # weight L(1) of that 6H.  The two ends of the t range put phi near 0
+    # and near pi/2
     p = 187631
     assert sieve_1m.is_prime(p)
     k_min, m = progression_weights(3850.0, 100.0, 0)
     ks = [k_min + 4 * j for j in range(m)]
     for t in (1, math.isqrt(4 * p - 1)):
-        l1 = np.zeros(4 * p + 1)
-        l1[4 * p - t * t] = 1.0
+        l1 = 2.0 * math.pi / 12.0 / math.sqrt(4 * p - t * t)
         phi = math.atan2(t, math.sqrt(4 * p - t * t))
         direct = math.fsum(math.cos((k - 1) * phi) for k in ks)
-        got = elliptic_sums([p], [(k_min, m)], l1)[0, 0] / 2.0
-        assert abs(got - direct) <= 1e-9, t
+        got = elliptic_sums([p], [(k_min, m)], _unit_h6(p, t))[0, 0] / 2.0
+        assert abs(got - direct * l1) <= 1e-9 * l1, t
