@@ -85,10 +85,13 @@ def _emit_json(payload: dict, path) -> None:
 #   the |D| = 0, 3 mod 4, so 2 bytes per |D|, and the u32 cache payload
 #   interleaved from them, 2 more (4.3 and 4.1 bytes per |D| measured at
 #   10^6 and 4*10^6, with the command's own allocations);
-# - trace, murmur: the halves of those counts and of 6H (2 + 2), which the
-#   elliptic kernel gathers as trace_hecke does, and the int32 factor sieve
-#   of n <= |D| / 4, one byte per |D| (no run path reads the class numbers
-#   h or the L(1) table, which are derived only on demand); trace, which
+# - trace, murmur: while the context is built, the halves of those counts
+#   and of 6H (2 + 2) and the int32 factor sieve of n <= |D| / 4, one byte
+#   per |D|; the context keeps only 6H, which the elliptic kernel gathers
+#   as trace_hecke does, and the factor sieve, so the counts are dropped
+#   when _load_context returns and the queries run on 3 (no run path reads
+#   the class numbers h or the L(1) table, which are derived only on
+#   demand); trace, which
 #   writes each row as it is made, adds the integers of one n,
 #   2 sqrt(n_max) + _TRACE_VALUES values of at most (k - 1)/2 log2(4 n_max)
 #   bits: the Lucas values of every t, the powers of n, the products and

@@ -145,8 +145,8 @@ def compute_series(req: MurmurationRequest, ctx: TraceContext) -> MurmurationSer
         ns = primes[(primes >= lo) & (primes <= hi)]
     else:
         ns = np.arange(max(1, math.ceil(lo)), n_max + 1, dtype=np.int64)
-    if ns.size and 4 * int(ns[-1]) > ctx.table.bound:
-        raise TableBoundError(4 * int(ns[-1]), ctx.table.bound)
+    if ns.size and 4 * int(ns[-1]) > ctx.bound:
+        raise TableBoundError(4 * int(ns[-1]), ctx.bound)
     k_min, m = progression_weights(req.K, req.H, req.delta)
     if m == 0:
         raise ValueError("no admissible weights in [K-H, K+H]")

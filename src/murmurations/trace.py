@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -49,9 +49,12 @@ _L1_BLOCK = 1 << 16
 class TraceContext:
     """Shared state for trace evaluations.
 
+    The context holds ``bound``, the class numbers' bound, ``h6``, the
+    factor sieve and the stored rows.  The reduced-form counts of ``table``
+    are read once, at construction, and no reference to the table is kept.
     ``h6 = (H0, H3)`` holds 6 H(n) as int32, the Hurwitz class numbers of
     every n <= bound, in the halves of the class table: H0[i] = 6 H(4i) and
-    H3[i] = 6 H(4i + 3), built on construction.  6 H(4n - t^2) is then
+    H3[i] = 6 H(4i + 3).  6 H(4n - t^2) is then
     ``h6[t & 1][n - (t * t + 3) // 4]``, which both ``trace_hecke`` and the
     elliptic kernel read.  ``l1_array`` builds L(1, psi_D) from it on each
     call, a reference view that no run path reads.  The factor sieve has to
@@ -63,19 +66,20 @@ class TraceContext:
     Queries are pure: a stored row is what a fresh context computes.
     """
 
-    table: ClassNumberTable
+    table: InitVar[ClassNumberTable]
     sieve: FactorSieve
+    bound: int = field(init=False)
     h6: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     elliptic_rows: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
-        self.h6 = hurwitz6(self.table)
+    def __post_init__(self, table: ClassNumberTable):
+        self.bound, self.h6 = table.bound, hurwitz6(table)
 
     def require(self, n: int) -> None:
         """Check that the tables serve T_n: the class numbers reach
         |D| = 4n and the factor sieve reaches n, the only number factored."""
-        if 4 * n > self.table.bound:
-            raise TableBoundError(4 * n, self.table.bound)
+        if 4 * n > self.bound:
+            raise TableBoundError(4 * n, self.bound)
         if n > self.sieve.bound:
             raise TableBoundError(n, self.sieve.bound, table="sieve")
 
@@ -90,7 +94,7 @@ class TraceContext:
         table is built anew on each call: no run path reads it, and it stays
         as the reference that tests check the kernel's weights against.
         """
-        l1 = np.zeros(self.table.bound + 1)
+        l1 = np.zeros(self.bound + 1)
         for r, half in zip((0, 3), self.h6):
             view = l1[r::4]
             np.multiply(2.0 * math.pi / 12.0, half, out=view)

@@ -38,16 +38,24 @@ def window():
 
 
 @pytest.fixture(scope="session")
-def smoke_context(sieve_1m):
+def smoke_table():
     # class numbers covering primes up to 2 N(600), for K = 600 runs
     n600 = analytic_conductor(600).N
-    bound = 4 * int(2 * n600) + 8
-    return TraceContext(table=sieve_class_numbers(bound), sieve=sieve_1m)
+    return sieve_class_numbers(4 * int(2 * n600) + 8)
 
 
 @pytest.fixture(scope="session")
-def desk_context(sieve_1m):
+def smoke_context(smoke_table, sieve_1m):
+    return TraceContext(table=smoke_table, sieve=sieve_1m)
+
+
+@pytest.fixture(scope="session")
+def desk_table():
     # class numbers covering primes up to 2 N(3850): the figure-scale runs
     n = analytic_conductor(3850).N
-    bound = 4 * int(2 * n) + 8
-    return TraceContext(table=sieve_class_numbers(bound), sieve=sieve_1m)
+    return sieve_class_numbers(4 * int(2 * n) + 8)
+
+
+@pytest.fixture(scope="session")
+def desk_context(desk_table, sieve_1m):
+    return TraceContext(table=desk_table, sieve=sieve_1m)

@@ -110,10 +110,10 @@ def test_halves_small_bounds():
         assert np.array_equal(table.expand((h0, h3)), h6), bound
 
 
-def test_figure_bound_table_digests(desk_context):
+def test_figure_bound_table_digests(desk_table):
     # the figure-scale table, pinned by digest: it crosses the seam between
     # each a's head and its periodic body for every a <= 500
-    table = desk_context.table
+    table = desk_table
     assert table.bound == 750_532
     assert hashlib.sha256(table.h.tobytes()).hexdigest() == (
         "0d06f2f199bb7f6f6e6f7d318f09f6e82b70369919b5ff8e852c5cfcbfd2773f"

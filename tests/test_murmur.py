@@ -190,7 +190,7 @@ def test_empty_class_raises_beside_a_working_one(smoke_context):
         compute_series(MurmurationRequest(delta=1, K=600.0, H=1.0, E=E), smoke_context)
 
 
-def test_elliptic_rows_shared_within_a_context(smoke_context, monkeypatch):
+def test_elliptic_rows_shared_within_a_context(smoke_table, smoke_context, monkeypatch):
     # one kernel call serves both classes and both weightings of one
     # (K, H, E, domain); every series is what a fresh context computes
     E = Interval(Fraction(0), Fraction(2))
@@ -201,7 +201,7 @@ def test_elliptic_rows_shared_within_a_context(smoke_context, monkeypatch):
     ]
 
     def fresh():
-        return trace.TraceContext(table=smoke_context.table, sieve=smoke_context.sieve)
+        return trace.TraceContext(table=smoke_table, sieve=smoke_context.sieve)
 
     calls = []
 
@@ -224,7 +224,7 @@ def test_elliptic_rows_shared_within_a_context(smoke_context, monkeypatch):
 
 def test_series_never_derives_class_numbers(smoke_context):
     # a figure-style solve reads only 6H, so the Moebius pass behind h never runs
-    table = sieve_class_numbers(smoke_context.table.bound)
+    table = sieve_class_numbers(smoke_context.bound)
     ctx = trace.TraceContext(table=table, sieve=smoke_context.sieve)
     E = Interval(Fraction(0), Fraction(2))
     for delta in (0, 1):
@@ -274,7 +274,7 @@ def test_table_bound_error(ctx_small):
     req = MurmurationRequest(delta=0, K=900.0, H=60.0, E=Interval(Fraction(0), Fraction(2)))
     with pytest.raises(TableBoundError) as info:
         compute_series(req, ctx_small)
-    assert info.value.required > ctx_small.table.bound
+    assert info.value.required > ctx_small.bound
 
 
 def test_integer_murmuration_nu_examples():

@@ -3,6 +3,7 @@ import math
 import os
 import signal
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -101,7 +102,28 @@ def test_trace_validation(ctx_small):
     with pytest.raises(ValueError):
         trace_hecke(ctx_small, 12, 0)
     with pytest.raises(TableBoundError):
-        trace_hecke(ctx_small, 12, ctx_small.table.bound)
+        trace_hecke(ctx_small, 12, ctx_small.bound)
+
+
+def test_context_drops_the_class_table(ctx_small, sieve_1m):
+    # the context keeps 6H and the bound, not the counts it was built from,
+    # and answers every query as ctx_small does
+    table = sieve_class_numbers(20_000)
+    ref = weakref.ref(table)
+    ctx = TraceContext(table=table, sieve=sieve_1m)
+    del table
+    assert ref() is None
+    assert ctx.bound == ctx_small.bound == 20_000
+    for k, n in ((12, 2), (24, 997), (100, 4999), (2, 1024)):
+        assert trace_hecke(ctx, k, n) == trace_hecke(ctx_small, k, n), (k, n)
+    for k, p in ((12, 2), (40, 997), (600, 4999)):
+        assert eigenvalue_sum_prime(ctx, k, p) == eigenvalue_sum_prime(ctx_small, k, p), (k, p)
+    E = Interval(Fraction(0), Fraction(2))
+    for delta in (0, 1):
+        req = MurmurationRequest(delta=delta, K=600.0, H=60.0, E=E)
+        got, want = compute_series(req, ctx), compute_series(req, ctx_small)
+        for name in ("n", "numerator", "denominator", "cumulative"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (delta, name)
 
 
 def test_eigenvalue_sum_weight12_value(ctx_small):
@@ -391,16 +413,16 @@ def test_table_bound_error_names_the_short_table(class_table_20k, sieve_1m):
         assert (info.value.table, str(info.value)) == (table, message)
 
 
-def _l1_one_shot(ctx):
+def _l1_one_shot(table, ctx):
     # the expression with an int64 6H and a separate quotient, in one piece
-    absd = np.arange(ctx.table.bound + 1, dtype=np.float64)
+    absd = np.arange(table.bound + 1, dtype=np.float64)
     absd[0] = 1.0
-    return (2.0 * math.pi / 12.0) * ctx.table.expand(ctx.h6).astype(np.int64) / np.sqrt(absd)
+    return (2.0 * math.pi / 12.0) * table.expand(ctx.h6).astype(np.int64) / np.sqrt(absd)
 
 
-def test_l1_array_is_one_division_of_6h(desk_context):
+def test_l1_array_is_one_division_of_6h(desk_table, desk_context):
     # bitwise, over the 12 blocks of the desk table
-    assert np.array_equal(desk_context.l1_array(), _l1_one_shot(desk_context))
+    assert np.array_equal(desk_context.l1_array(), _l1_one_shot(desk_table, desk_context))
 
 
 def test_l1_array_figure_digest(desk_context):
@@ -418,9 +440,10 @@ def test_l1_array_block_edges(bound, sieve_1m):
     # the blocks run over each half, 2^16 entries of T0 or T3: from
     # 2^18 - 5 on, both halves are one entry short of a block, exactly one
     # block, T0 one into the next, both one into it, and both two into it
-    ctx = TraceContext(table=sieve_class_numbers(bound), sieve=sieve_1m)
+    table = sieve_class_numbers(bound)
+    ctx = TraceContext(table=table, sieve=sieve_1m)
     assert ctx.l1_array().size == bound + 1
-    assert np.array_equal(ctx.l1_array(), _l1_one_shot(ctx))
+    assert np.array_equal(ctx.l1_array(), _l1_one_shot(table, ctx))
 
 
 def _unit_h6(n, t):
